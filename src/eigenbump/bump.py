@@ -31,14 +31,11 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import mpmath
 import numpy as np
 
 from . import eigensolve, specfun
 from .errors import AccuracyError, BudgetInfeasibleError, InvalidArgumentError
 
-# largest nu*a handled by the double-precision Bessel machinery
-NATIVE_SCALE_MAX = specfun.NATIVE_MAX
 # linear scan range before switching to geometric bracketing
 LINEAR_SCAN_MAX = 1024
 RESIDUAL_TOL = 1e-10
@@ -141,15 +138,10 @@ def solve_eta(nu: float, a: float) -> float:
 def boundary_wavenumber(d: int, tau: complex, a: float) -> complex:
     """Outer wavenumber matching the interior Bessel profile at r = a."""
     _check_dim(d)
-    order = d / 2.0 - 1.0
-    z = tau * a
-    if abs(z) > NATIVE_SCALE_MAX:
-        with specfun.MP_LOCK, mpmath.workdps(30 + max(0, int(math.log10(abs(z) + 1.0)))):
-            ratio = specfun.bessel_ratio_mp(order, mpmath.mpf(a) * mpmath.mpc(tau))
-            k = -1j * mpmath.mpc(tau) * ratio + 1j * (d - 3.0) / (2.0 * a)
-            return complex(k)
-    ratio = specfun.bessel_j_ratio(order, z)
-    return -1j * ratio * tau + 1j * (d - 3.0) / (2.0 * a)
+    with specfun.lane(abs(tau * a)) as ops:
+        tau_l = ops.lift(tau)
+        ratio = ops.bessel_ratio(d / 2.0 - 1.0, tau_l * a)
+        return complex(-1j * tau_l * ratio + 1j * (d - 3.0) / (2.0 * a))
 
 
 def norm_p(params: BumpParams, p: float) -> float:
@@ -354,11 +346,10 @@ def _polish(params: BumpParams) -> tuple[BumpParams, float]:
     """
     problem = eigensolve.SecularProblem(d=params.d, c=params.c, a=params.a,
                                         branch_ref=params.tau)
-    scale = abs(params.tau) * params.a
-    if scale <= NATIVE_SCALE_MAX:
-        residual = abs(eigensolve.secular_residual(problem, params.k))
-        return params, residual
-    k_root, residual = eigensolve.polish_root_mp(problem, params.k)
+    with specfun.lane(abs(params.tau) * params.a) as ops:
+        if not ops.mp:
+            return params, abs(eigensolve.secular_residual(problem, params.k))
+        k_root, residual = eigensolve.polish_root_mp(problem, params.k)
     k_new = complex(k_root)
     if k_new != params.k:
         params = replace(params, k=k_new)

@@ -11,7 +11,6 @@ from the "created" timestamp.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import datetime
 import json
@@ -21,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import construct, eigensolve, ltreport
+from . import construct, eigensolve, ltreport, specfun
 from .bump import BumpParams, design_bump, norm_inf, norm_p
 from .construct import ConstructionLedger, LedgerEntry, Target
 from .errors import ConstructionError, EigenbumpError, InvalidArgumentError
@@ -42,11 +41,6 @@ def _c(z: complex) -> list:
 
 def _uc(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
-
-
-def _upper_root(mu: complex) -> complex:
-    k = cmath.sqrt(mu)
-    return k if k.imag >= 0 else -k
 
 
 def ledger_to_doc(ledger: ConstructionLedger, steps: int, created: str) -> dict:
@@ -126,7 +120,7 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
                 dist_lambda_mu=float(rec["dist_lambda_mu"]),
                 lambda_within_rho=bool(rec["lambda_within_rho"]),
                 verified=bool(rec["verified"]),
-                _k_mu=_upper_root(_uc(rec["mu_n"])))
+                _k_mu=specfun.upper_sqrt(_uc(rec["mu_n"])))
             ledger.entries.append(entry)
         meta = {"version": doc["version"], "created": doc["created"],
                 "steps": int(cfg["steps"])}
@@ -244,22 +238,16 @@ def cmd_verify(args) -> int:
     failures = []
     for entry in ledger.entries:
         lam = entry.lambda_n
+        k_lam = specfun.upper_sqrt(lam)
         try:
             if args.oracle == "transfer":
-                seed = cmath.sqrt(lam)
-                if seed.imag < 0:
-                    seed = -seed
-                located = eigensolve.transfer_eigen_1d(pot, seed)
+                located = eigensolve.transfer_eigen_1d(pot, k_lam)
                 tol = args.tol * (1.0 + abs(lam))
             else:
                 # window the operator around this entry; distant bumps sit
                 # below the eigenfunction tail the margin already ignores
-                k_lam = cmath.sqrt(lam)
-                if k_lam.imag < 0:
-                    k_lam = -k_lam
-                margin = math.log(1e8) / k_lam.imag
-                window = construct.windowed_potential(ledger.entries, entry,
-                                                      margin)
+                window = construct.windowed_potential(
+                    ledger, entry, eigensolve.tail_margin(k_lam))
                 radius = max(1e-6, 0.5 / entry.target.m)
                 results = eigensolve.grid_oracle_1d(window, lam, radius)
                 if not results:

@@ -192,19 +192,23 @@ def step_potential(entries, domain: str = "whole", phi: float = 0.0,
                                       boundary=domain, phi=phi)
 
 
-def windowed_potential(entries, entry, margin: float) -> eigensolve.StepPotential1D:
+def windowed_potential(ledger: ConstructionLedger, entry,
+                       margin: float) -> eigensolve.StepPotential1D:
     """Sub-potential seen by one entry's eigenfunction.
 
     The eigenfunction of lambda_n dies like e^{-Im k |x - t_n|}, so bumps
     beyond the margin contribute below the margin's tail weight and the
-    operator may be truncated to a whole-line window around the entry
-    (even for Robin ledgers, provided the window stays inside x > 0).
+    operator may be truncated to a window around the entry.  The window
+    is whole-line unless it belongs to a Robin ledger and reaches x <= 0,
+    in which case it keeps the wall.
     """
     lo = entry.t - entry.bump.a - margin
     hi = entry.t + entry.bump.a + margin
-    kept = [e for e in entries
+    kept = [e for e in ledger.entries
             if e.t + e.bump.a > lo and e.t - e.bump.a < hi]
-    return step_potential(kept, domain="whole", phi=0.0)
+    if ledger.domain == "robin" and lo <= 0.0:
+        return step_potential(kept, "robin", ledger.phi)
+    return step_potential(kept)
 
 
 def _dist_to_halfline(mu: complex) -> float:
@@ -284,25 +288,11 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
         return fallback
 
     phi = ledger.phi if ledger.phi is not None else 0.0
+    pot = step_potential(ledger.entries, ledger.domain, phi)
     try:
-        pot = step_potential(ledger.entries, ledger.domain, phi)
-    except LedgerError:
-        raise
-    k_mu = cmath.sqrt(mu_n)
-    if k_mu.imag < 0:
-        k_mu = -k_mu
-    if k_mu.imag <= 0.0:
-        return fallback
-    margin = math.log(1e8) / k_mu.imag
-    if ledger.domain == "robin":
-        x_lo, x_hi = 0.0, pot.breakpoints[-1] + margin
-    else:
-        x_lo, x_hi = pot.breakpoints[0] - margin, pot.breakpoints[-1] + margin
-    vmax = max([0.0] + [abs(v) for v in pot.values])
-    k_scale = math.sqrt(abs(mu_n) + vmax) + 1.0
-    n_pts = int(math.ceil((x_hi - x_lo) * k_scale * 150.0 / (2.0 * math.pi)))
-    if 2 * n_pts > eigensolve.GRID_POINT_CAP:
-        log.info("gamma step: grid of %d points unaffordable; using fallback", n_pts)
+        x_lo, x_hi, n_pts = eigensolve.grid_layout(pot, mu_n)
+    except GridResolutionError as exc:
+        log.info("gamma step: %s; using fallback", exc)
         return fallback
 
     # the discretisation must place mu_n well inside the rho-circle

@@ -15,9 +15,10 @@ every square root sqrt(k^2 - c) is tracked continuously from a reference
 value so Newton paths never hop branches.  Transfer propagation rescales
 each interval by the analytic factor e^{i kappa L}; this tames the
 exponential growth of the decaying solution without breaking the complex
-differentiability Newton relies on.  Solves whose accumulated phase
-exceeds ~3e4 radians run at scaled arbitrary precision, since double
-argument reduction would drown the 1e-10 residual tolerance.
+differentiability Newton relies on.  Every solve picks its arithmetic
+from its accumulated phase through ``specfun.lane``: beyond ~3e4 radians
+double argument reduction would drown the 1e-10 residual tolerance, so
+such solves run at scaled arbitrary precision.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -37,7 +37,6 @@ from .errors import (AccuracyError, BranchError, ContourError,
                      GridResolutionError, InvalidArgumentError,
                      NoConvergenceError, PoleError, WrongSheetError)
 
-PHASE_SAFE = 3.0e4
 SECULAR_TOL = 1e-10
 STEP_TOL = 1e-12
 NEWTON_CAP = 50
@@ -124,48 +123,6 @@ def _branch_sqrt(w, ref, sqrt_fn):
     return s
 
 
-def _upper_sqrt(w: complex) -> complex:
-    s = cmath.sqrt(w)
-    if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
-        s = -s
-    return s
-
-
-class _Native:
-    sqrt = staticmethod(cmath.sqrt)
-    exp = staticmethod(cmath.exp)
-    to_c = staticmethod(complex)
-
-    @staticmethod
-    def lift(z):
-        return complex(z)
-
-    @staticmethod
-    def bessel_ratio(order, z):
-        return specfun.bessel_j_ratio(order, z)
-
-
-class _MP:
-    sqrt = staticmethod(mpmath.sqrt)
-    exp = staticmethod(mpmath.exp)
-
-    @staticmethod
-    def to_c(z):
-        return complex(z)
-
-    @staticmethod
-    def lift(z):
-        return mpmath.mpc(z)
-
-    @staticmethod
-    def bessel_ratio(order, z):
-        return specfun.bessel_ratio_mp(order, z)
-
-
-def _dps_for(scale: float) -> int:
-    return 30 + max(0, int(math.log10(scale + 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # secular equation for a single radial bump
 
@@ -178,6 +135,11 @@ def _secular_eval(problem: SecularProblem, k, tau_ref, ops):
     return f_val, tau
 
 
+def _secular_scale(problem: SecularProblem, k: complex) -> float:
+    """Phase |tau| a of the interior Bessel profile at wavenumber k."""
+    return abs(k * k - problem.c) ** 0.5 * problem.a
+
+
 def secular_residual(problem: SecularProblem, k: complex) -> complex:
     """Residual of the radial matching condition at wavenumber k.
 
@@ -186,14 +148,10 @@ def secular_residual(problem: SecularProblem, k: complex) -> complex:
     at r = a, i.e. when mu = k^2 is an eigenvalue.
     """
     k = complex(k)
-    scale = abs(k * k - problem.c) ** 0.5 * problem.a
-    if scale > PHASE_SAFE:
-        with specfun.MP_LOCK, mpmath.workdps(_dps_for(scale)):
-            f_val, _ = _secular_eval(problem, mpmath.mpc(k),
-                                     mpmath.mpc(problem.branch_ref), _MP)
-            return complex(f_val)
-    f_val, _ = _secular_eval(problem, k, complex(problem.branch_ref), _Native)
-    return complex(f_val)
+    with specfun.lane(_secular_scale(problem, k)) as ops:
+        f_val, _ = _secular_eval(problem, ops.lift(k), ops.lift(problem.branch_ref),
+                                 ops)
+        return complex(f_val)
 
 
 def _newton(f_eval, k0, ops, steep_scale: float, tol_f: float = SECULAR_TOL,
@@ -239,45 +197,30 @@ def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
     k_seed = complex(k_seed)
     if not _finite_c(k_seed) or not math.isfinite(abs(secular_residual(problem, k_seed))):
         raise InvalidArgumentError("seed must give a finite residual")
-    scale = abs(k_seed * k_seed - problem.c) ** 0.5 * problem.a
-    if scale > PHASE_SAFE:
-        k_mp, residual = polish_root_mp(problem, k_seed)
-        k = complex(k_mp)
-        if k.imag <= 0.0:
-            raise WrongSheetError("converged to Im k = %g <= 0" % k.imag)
-        return eigen_result(k, residual, "secular")
-
-    state = {"ref": complex(problem.branch_ref)}
-
-    def f_eval(k):
-        f_val, tau = _secular_eval(problem, k, state["ref"], _Native)
-        state["ref"] = tau
-        return f_val
-
-    k, residual, _ = _newton(f_eval, k_seed, _Native, steep_scale=scale)
-    k = complex(k)
+    k_root, residual = polish_root_mp(problem, k_seed)
+    k = complex(k_root)
     if k.imag <= 0.0:
         raise WrongSheetError("converged to Im k = %g <= 0" % k.imag)
     return eigen_result(k, residual, "secular")
 
 
 def polish_root_mp(problem: SecularProblem, k_seed: complex):
-    """Arbitrary-precision Newton on the secular function.
+    """Newton on the secular function in the lane its phase needs.
 
-    Returns (k as mpmath.mpc, residual).  Used for bumps whose radius puts
-    the Bessel argument beyond double phase resolution.
+    Returns (k in lane arithmetic, residual): an mpmath.mpc for bumps whose
+    radius puts the Bessel argument beyond double phase resolution.
     """
     k0 = complex(k_seed)
-    scale = abs(k0 * k0 - problem.c) ** 0.5 * problem.a
-    with specfun.MP_LOCK, mpmath.workdps(_dps_for(scale)):
-        state = {"ref": mpmath.mpc(problem.branch_ref)}
+    scale = _secular_scale(problem, k0)
+    with specfun.lane(scale) as ops:
+        state = {"ref": ops.lift(problem.branch_ref)}
 
         def f_eval(k):
-            f_val, tau = _secular_eval(problem, k, state["ref"], _MP)
+            f_val, tau = _secular_eval(problem, k, state["ref"], ops)
             state["ref"] = tau
             return f_val
 
-        k, residual, _ = _newton(f_eval, mpmath.mpc(k0), _MP, steep_scale=scale)
+        k, residual, _ = _newton(f_eval, ops.lift(k0), ops, steep_scale=scale)
         return k, residual
 
 
@@ -306,37 +249,39 @@ def count_zeros(problem: SecularProblem, rect) -> int:
             pts.append(start + (end - start) * (j / per_side))
     pts.append(pts[0])
 
-    ref0 = complex(problem.branch_ref)
-    nodes = []
-    ref = ref0
-    for z in pts:
-        f_val, ref = _secular_eval(problem, z, ref, _Native)
-        nodes.append([z, f_val, ref])
+    # the corners bound the phase |tau| a along the contour closely enough
+    # to pick the lane
+    with specfun.lane(max(_secular_scale(problem, z) for z in corners)) as ops:
+        nodes = []
+        ref = ops.lift(problem.branch_ref)
+        for z in pts:
+            f_val, ref = _secular_eval(problem, ops.lift(z), ref, ops)
+            nodes.append([z, ops.to_c(f_val), ref])
 
-    # adaptive refinement: split any segment whose phase jump is >= pi/2
-    guard = 0
-    i = 0
-    while i < len(nodes) - 1:
-        f1, f2 = nodes[i][1], nodes[i + 1][1]
-        if f1 == 0 or f2 == 0:
-            raise ContourError("contour passes through a zero; inflate the box")
-        if abs(cmath.phase(f2 / f1)) < math.pi / 2:
-            i += 1
-            continue
-        guard += 1
-        if guard > 20000:
-            raise ContourError("contour refinement did not settle; "
-                               "a zero may sit on the box; inflate it")
-        z_mid = 0.5 * (nodes[i][0] + nodes[i + 1][0])
-        f_mid, ref_mid = _secular_eval(problem, z_mid, nodes[i][2], _Native)
-        nodes.insert(i + 1, [z_mid, f_mid, ref_mid])
+        # adaptive refinement: split any segment whose phase jump is >= pi/2
+        guard = 0
+        i = 0
+        while i < len(nodes) - 1:
+            f1, f2 = nodes[i][1], nodes[i + 1][1]
+            if f1 == 0 or f2 == 0:
+                raise ContourError("contour passes through a zero; inflate the box")
+            if abs(cmath.phase(f2 / f1)) < math.pi / 2:
+                i += 1
+                continue
+            guard += 1
+            if guard > 20000:
+                raise ContourError("contour refinement did not settle; "
+                                   "a zero may sit on the box; inflate it")
+            z_mid = 0.5 * (nodes[i][0] + nodes[i + 1][0])
+            f_mid, ref_mid = _secular_eval(problem, ops.lift(z_mid), nodes[i][2], ops)
+            nodes.insert(i + 1, [z_mid, ops.to_c(f_mid), ref_mid])
 
-    mags = sorted(abs(n[1]) for n in nodes)
-    if mags[0] < 1e-9 * mags[len(mags) // 2]:
-        raise ContourError("min |F| on contour is %.3e; inflate the box" % mags[0])
-    if abs(nodes[-1][2] - nodes[0][2]) > 1e-6 * (1.0 + abs(nodes[0][2])):
-        raise BranchError("tau did not return to its starting branch; "
-                          "the contour crosses the sqrt cut")
+        mags = sorted(abs(n[1]) for n in nodes)
+        if mags[0] < 1e-9 * mags[len(mags) // 2]:
+            raise ContourError("min |F| on contour is %.3e; inflate the box" % mags[0])
+        if abs(nodes[-1][2] - nodes[0][2]) > 1e-6 * (1.0 + abs(nodes[0][2])):
+            raise BranchError("tau did not return to its starting branch; "
+                              "the contour crosses the sqrt cut")
 
     total = 0.0
     for i in range(len(nodes) - 1):
@@ -357,7 +302,7 @@ def step_matrix(k: complex, value: complex, length: float) -> np.ndarray:
     is involved, and the determinant is exactly 1.  Diagnostic form; the
     solver itself propagates the e^{i kappa L}-scaled variant.
     """
-    kappa = _upper_sqrt(k * k - complex(value))
+    kappa = specfun.upper_sqrt(k * k - complex(value))
     kl = kappa * length
     if kappa == 0:
         return np.array([[1.0, length], [0.0, 1.0]], dtype=complex)
@@ -422,39 +367,25 @@ def _transfer_newton(potential: StepPotential1D, k_seed: complex):
     if not k_seed.imag > 0.0:
         raise InvalidArgumentError("transfer seed needs Im k > 0")
     scale = _phase_scale(potential, k_seed)
-    use_mp = scale > PHASE_SAFE
-    ops = _MP if use_mp else _Native
-
-    def run():
-        refs = [_upper_sqrt(complex(k_seed * k_seed - v))
-                for (_, v) in _intervals(potential)]
-        state = {"refs": [ops.lift(r) for r in refs]}
+    with specfun.lane(scale) as ops:
+        state = {"refs": [ops.lift(specfun.upper_sqrt(k_seed * k_seed - v))
+                          for (_, v) in _intervals(potential)]}
 
         def f_eval(k):
             s_val, new_refs = _transfer_eval(potential, k, state["refs"], ops)
             state["refs"] = new_refs
             return s_val
 
-        return _newton(f_eval, ops.lift(k_seed), ops, steep_scale=scale)
-
-    if use_mp:
-        with specfun.MP_LOCK, mpmath.workdps(_dps_for(scale)):
-            k, residual, _ = run()
-            return k, residual
-    k, residual, _ = run()
-    return k, residual
+        k, residual, _ = _newton(f_eval, ops.lift(k_seed), ops, steep_scale=scale)
+        return k, residual
 
 
 # ---------------------------------------------------------------------------
 # finite-difference grid oracle
 
-def _grid_nodes(potential: StepPotential1D, k_target: complex):
-    """Truncated domain with exponential tails below 1e-8 at the cut."""
-    margin = math.log(1e8) / k_target.imag
-    bps = potential.breakpoints
-    if potential.boundary == "whole":
-        return bps[0] - margin, bps[-1] + margin
-    return 0.0, bps[-1] + margin
+def tail_margin(k: complex) -> float:
+    """Distance over which the decaying tail e^{ik|x|} falls below 1e-8."""
+    return math.log(1e8) / k.imag
 
 
 def _cell_values(potential: StepPotential1D, xs: np.ndarray, h: float) -> np.ndarray:
@@ -477,37 +408,66 @@ def _cell_values(potential: StepPotential1D, xs: np.ndarray, h: float) -> np.nda
     return out
 
 
+def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
+    """Tridiagonal finite-difference form of H on [x_lo, x_hi].
+
+    Second-order differences on cell-averaged values, Dirichlet truncation
+    at both cut ends.  A Robin potential is gridded from x_lo = 0, and
+    unless phi = pi/2 (Dirichlet) its condition
+    cos(phi) f'(0) + sin(phi) f(0) = 0 enters through a ghost node
+    eliminated into the first row.  Returns (lower, main, upper, h).
+    """
+    h = (x_hi - x_lo) / (n + 1)
+    ghost = (potential.boundary == "robin"
+             and abs(potential.phi - math.pi / 2.0) >= 1e-14)
+    xs = x_lo + h * np.arange(0 if ghost else 1, n + 1)
+    vals = _cell_values(potential, xs, h)
+    main = 2.0 / h ** 2 + vals
+    lower = np.full(len(xs) - 1, -1.0 / h ** 2, dtype=complex)
+    upper = lower.copy()
+    if ghost:
+        main[0] = (2.0 - 2.0 * h * math.tan(potential.phi)) / h ** 2 + vals[0]
+        upper[0] = -2.0 / h ** 2
+    return lower, main, upper, h
+
+
 def _fd_eigs(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
              target: complex, n_eigs: int = 6):
     """Eigenvalues of the FD discretisation closest to the target.
 
-    Second-order differences, Dirichlet truncation at both cut ends; the
-    Robin condition enters through a ghost node in the first row.  Uses
-    shift-invert Arnoldi with a fixed start vector for determinism.
+    Uses shift-invert Arnoldi with a fixed start vector for determinism.
     """
-    h = (x_hi - x_lo) / (n + 1)
-    robin = potential.boundary == "robin" and x_lo == 0.0
-    dirichlet_left = (not robin) or abs(potential.phi - math.pi / 2.0) < 1e-14
-    if dirichlet_left:
-        xs = x_lo + h * np.arange(1, n + 1)
-    else:
-        xs = x_lo + h * np.arange(0, n + 1)
-    m = len(xs)
-    vals = _cell_values(potential, xs, h)
-    main = 2.0 / h ** 2 + vals
-    lower = -np.ones(m - 1, dtype=complex) / h ** 2
-    upper = -np.ones(m - 1, dtype=complex) / h ** 2
-    if not dirichlet_left:
-        # ghost elimination for cos(phi) f'(0) + sin(phi) f(0) = 0
-        tan_phi = math.tan(potential.phi)
-        main[0] = (2.0 - 2.0 * h * tan_phi) / h ** 2 + vals[0]
-        upper[0] = -2.0 / h ** 2
+    lower, main, upper, h = _fd_operator(potential, x_lo, x_hi, n)
     mat = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="csc",
                              dtype=complex)
+    m = len(main)
     v0 = np.ones(m, dtype=complex) / math.sqrt(m)
     k_want = min(n_eigs, m - 2)
     w, _ = scipy.sparse.linalg.eigs(mat, k=k_want, sigma=target, v0=v0)
     return np.asarray(w), h
+
+
+def grid_layout(potential: StepPotential1D, target: complex):
+    """Domain and resolution of the grid that resolves eigenvalues near
+    the target: (x_lo, x_hi, n) with tails cut below 1e-8 and 150 points
+    per wavelength.
+
+    Raises GridResolutionError when the fine grid of the two-resolution
+    pair (2n + 1 points) would exceed the cap.
+    """
+    margin = tail_margin(specfun.upper_sqrt(target))
+    bps = potential.breakpoints
+    x_lo = bps[0] - margin if potential.boundary == "whole" else 0.0
+    x_hi = bps[-1] + margin
+    vmax = max([0.0] + [abs(v) for v in potential.values])
+    k_scale = math.sqrt(abs(target) + vmax) + 1.0
+    h0 = 2.0 * math.pi / (k_scale * 150.0)
+    n = int(math.ceil((x_hi - x_lo) / h0))
+    if 2 * n > GRID_POINT_CAP:
+        raise GridResolutionError(
+            "grid would need %d points (cap %d); domain [%g, %g] too long"
+            % (2 * n, GRID_POINT_CAP, x_lo, x_hi))
+    return x_lo, x_hi, n
 
 
 def grid_oracle_1d(potential: StepPotential1D, target: complex,
@@ -524,17 +484,7 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
         raise InvalidArgumentError("grid oracle expects Im target < 0")
     if not radius > 0.0:
         raise InvalidArgumentError("radius must be positive")
-    k_target = _upper_sqrt(target)
-    x_lo, x_hi = _grid_nodes(potential, k_target)
-    vmax = max([0.0] + [abs(v) for v in potential.values])
-    k_scale = math.sqrt(abs(target) + vmax) + 1.0
-    h0 = 2.0 * math.pi / (k_scale * 150.0)
-    n = int(math.ceil((x_hi - x_lo) / h0))
-    if 2 * n > GRID_POINT_CAP:
-        raise GridResolutionError(
-            "grid would need %d points (cap %d); domain [%g, %g] too long"
-            % (2 * n, GRID_POINT_CAP, x_lo, x_hi))
-
+    x_lo, x_hi, n = grid_layout(potential, target)
     w_coarse, _ = _fd_eigs(potential, x_lo, x_hi, n, target)
     w_fine, _ = _fd_eigs(potential, x_lo, x_hi, 2 * n + 1, target)
 
@@ -565,7 +515,7 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
         # their cells, which differs between the two grids; the full
         # discrepancy (not the clean-h^2 third of it) covers the residue
         err = max(disc, 1e-14)
-        k_val = _upper_sqrt(complex(mu_r))
+        k_val = specfun.upper_sqrt(complex(mu_r))
         results.append(EigenResult(k=k_val, mu=k_val * k_val,
                                    residual=float(err), method="grid"))
     results.sort(key=lambda r: abs(r.mu - target))
@@ -577,41 +527,21 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     """Smallest singular value of the FD discretisation of (H - z) on the
     truncated domain [x_lo, x_hi].
 
-    Power iteration on the inverse normal operator via banded solves;
-    1/sigma_min estimates the resolvent norm on the grid.
+    Power iteration on the inverse normal operator, reusing one LU
+    factorisation of the tridiagonal H - z for both solves of every step;
+    1/sigma_min estimates the resolvent norm on the grid.  Raises
+    LinAlgError when H - z is exactly singular.
     """
-    z = complex(z)
-    h = (x_hi - x_lo) / (n + 1)
-    robin = potential.boundary == "robin"
-    dirichlet_left = (not robin) or abs(potential.phi - math.pi / 2.0) < 1e-14
-    if dirichlet_left:
-        xs = x_lo + h * np.arange(1, n + 1)
-    else:
-        xs = x_lo + h * np.arange(0, n + 1)
-    m = len(xs)
-    vals = _cell_values(potential, xs, h)
-    main = 2.0 / h ** 2 + vals - z
-    off = -np.ones(m - 1, dtype=complex) / h ** 2
-    upper0 = off.copy()
-    if not dirichlet_left:
-        tan_phi = math.tan(potential.phi)
-        main[0] = (2.0 - 2.0 * h * tan_phi) / h ** 2 + vals[0] - z
-        upper0[0] = -2.0 / h ** 2
-
-    band = np.zeros((3, m), dtype=complex)
-    band[0, 1:] = upper0
-    band[1, :] = main
-    band[2, :-1] = off
-    band_h = np.zeros((3, m), dtype=complex)
-    band_h[0, 1:] = np.conj(off)
-    band_h[1, :] = np.conj(main)
-    band_h[2, :-1] = np.conj(upper0)
-
+    lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
+    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("H - z is singular on the grid (info %d)" % info)
+    m = len(main)
     v = np.ones(m, dtype=complex) / math.sqrt(m)
     growth = 1.0
     for _ in range(iters):
-        w = scipy.linalg.solve_banded((1, 1), band_h, v)
-        u = scipy.linalg.solve_banded((1, 1), band, w)
+        w, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C")
+        u, _ = scipy.linalg.lapack.zgttrs(*factors, w)
         growth = float(np.linalg.norm(u))
         v = u / growth
     return 1.0 / math.sqrt(growth)

@@ -29,27 +29,6 @@ class NormReport:
     exact: bool             # closed form exact (compact supports) or bound
 
 
-@dataclass(frozen=True)
-class LTReport:
-    p: float
-    d: int
-    partial_sums: tuple
-    norm_p: float
-    norm_inf: float
-    budget: float
-    aad_checks: tuple | None
-
-
-def full_report(ledger: ConstructionLedger) -> LTReport:
-    """Assemble the complete diagnostic record for a verified ledger."""
-    sums = lt_partial_sum(ledger)
-    norms = norm_budget_check(ledger)
-    checks = tuple(aad_check(ledger)) if ledger.d == 1 else None
-    return LTReport(p=ledger.p, d=ledger.d, partial_sums=tuple(sums),
-                    norm_p=norms.norm_p, norm_inf=norms.norm_inf,
-                    budget=ledger.budget, aad_checks=checks)
-
-
 def _require_verified(ledger: ConstructionLedger) -> None:
     if ledger.failed_at is not None:
         raise LedgerError("ledger is partial (failed at step %s): %s"

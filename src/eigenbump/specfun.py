@@ -13,7 +13,9 @@ Evaluation strategy in double precision:
 Beyond ``|z| ~ 3e4`` the trigonometric phase of the expansion is no longer
 representable to the accuracy this library promises, so such arguments are
 delegated to arbitrary-precision arithmetic with the working precision
-scaled to the phase.  Ratios J_{n-1}(z)/J_n(z) are computed by a modified
+scaled to the phase.  That rule is the package's one precision lane
+(``lane``): every solver whose phase can pass 3e4 picks its arithmetic
+through it.  Ratios J_{n-1}(z)/J_n(z) are computed by a modified
 Lentz continued fraction, which stays finite near zeros of the numerator
 and avoids the overflow/cancellation of naive division.
 """
@@ -21,6 +23,7 @@ and avoids the overflow/cancellation of naive division.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -32,8 +35,8 @@ from .errors import AccuracyError, InvalidArgumentError, PoleError
 
 SERIES_MAX = 12.0
 ASYMPT_MIN = 30.0
-# largest |z| evaluated in double precision; above this the phase error
-# eps*|z| of argument reduction would exceed ~1e-11
+# largest phase (here |z|) evaluated in double precision; above this the
+# phase error eps*|z| of argument reduction would exceed ~1e-11
 NATIVE_MAX = 3.0e4
 
 # mpmath's working precision is process-global; every extended-precision
@@ -43,6 +46,61 @@ MP_LOCK = threading.RLock()
 
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 _TINY_LD = np.clongdouble(1e-280)
+
+
+def upper_sqrt(w: complex) -> complex:
+    """The square root of w in the closed upper half-plane (Im >= 0, and
+    Re >= 0 on the real axis): the wavenumber of a decaying solution."""
+    s = cmath.sqrt(w)
+    if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+        s = -s
+    return s
+
+
+class _Native:
+    """Double-precision arithmetic for phases up to NATIVE_MAX."""
+
+    mp = False
+    sqrt = staticmethod(cmath.sqrt)
+    exp = staticmethod(cmath.exp)
+    to_c = staticmethod(complex)
+    lift = staticmethod(complex)
+
+    @staticmethod
+    def bessel_ratio(order, z):
+        return bessel_j_ratio(order, z)
+
+
+class _MP:
+    """mpmath arithmetic at the precision set by ``lane``."""
+
+    mp = True
+    sqrt = staticmethod(mpmath.sqrt)
+    exp = staticmethod(mpmath.exp)
+    to_c = staticmethod(complex)
+    lift = staticmethod(mpmath.mpc)
+
+    @staticmethod
+    def bessel_ratio(order, z):
+        return bessel_ratio_mp(order, z)
+
+
+@contextlib.contextmanager
+def lane(scale: float):
+    """Arithmetic for a computation whose phase reaches ``scale`` radians.
+
+    Up to NATIVE_MAX this yields the double-precision ops.  Beyond it
+    yields the mpmath ops, holding MP_LOCK with the working precision at
+    30 + log10(scale) digits, so that the eps*scale phase error of
+    argument reduction stays far below every tolerance.  Both carry
+    ``sqrt``, ``exp``, ``lift`` (into the lane), ``to_c`` (back to a
+    complex), ``bessel_ratio`` and the flag ``mp``.
+    """
+    if scale <= NATIVE_MAX:
+        yield _Native
+        return
+    with MP_LOCK, mpmath.workdps(30 + int(math.log10(scale + 1.0))):
+        yield _MP
 
 
 @dataclass(frozen=True)
@@ -115,8 +173,9 @@ def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
         raise InvalidArgumentError(
             "J_n(0) diverges for negative non-integer order %r" % (order,))
 
-    if az > NATIVE_MAX:
-        return complex(_jv_mp(order, z))
+    with lane(az) as ops:
+        if ops.mp:
+            return complex(mpmath.besselj(order, mpmath.mpc(z)))
     if az <= SERIES_MAX:
         return _jv_series(order, z, target)
     if z.real < 0.0:
@@ -276,15 +335,6 @@ def _envelope(z: complex) -> float:
     return math.sqrt(2.0 / (math.pi * max(abs(z), 0.3))) * math.exp(abs(z.imag))
 
 
-def _auto_dps(az: float) -> int:
-    return 30 + max(0, int(math.log10(az + 1.0)))
-
-
-def _jv_mp(order: float, z: complex):
-    with MP_LOCK, mpmath.workdps(_auto_dps(abs(z))):
-        return mpmath.besselj(order, mpmath.mpc(z))
-
-
 def bessel_j_ratio(order: float, z: complex, tol: float = 1e-12) -> complex:
     """J_{order-1}(z) / J_order(z) by a modified Lentz continued fraction.
 
@@ -300,10 +350,9 @@ def bessel_j_ratio(order: float, z: complex, tol: float = 1e-12) -> complex:
     az = abs(z)
     if az == 0.0:
         raise InvalidArgumentError("ratio undefined at z = 0")
-    if az > NATIVE_MAX:
-        with MP_LOCK, mpmath.workdps(_auto_dps(az)):
-            val = bessel_ratio_mp(order, mpmath.mpc(z))
-            return complex(val)
+    with lane(az) as ops:
+        if ops.mp:
+            return complex(bessel_ratio_mp(order, mpmath.mpc(z)))
 
     value = _lentz_ratio(order, z, az)
 

@@ -132,6 +132,17 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 0
 
+    def test_grid_pass_robin_window_keeps_wall(self, tmp_path, capsys):
+        # the eigenfunction tail of the phi = 0 entry reaches the wall, so
+        # the grid window must keep the Robin boundary
+        path = tmp_path / "robin.json"
+        assert run(["construct", "--dim", "1", "--p", "3", "--budget", "8",
+                    "--steps", "1", "--domain", "robin", "--phi", "0",
+                    "--out", str(path)]) == 0
+        code = run(["verify", "--ledger", str(path), "--oracle", "grid"])
+        capsys.readouterr()
+        assert code == 0
+
     def test_grid_multiscale_reports_honestly(self, ledger_file, capsys):
         # entry 2 of the cascade ledger has a radius no grid can afford;
         # the verifier must name it rather than claim success

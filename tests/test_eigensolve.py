@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D,
-                                  count_zeros, grid_oracle_1d, refine_eigen,
-                                  secular_residual, step_matrix,
+                                  count_zeros, grid_oracle_1d, grid_sigma_min,
+                                  refine_eigen, secular_residual, step_matrix,
                                   transfer_eigen_1d)
 from eigenbump.errors import (ContourError, GridResolutionError,
                               InvalidArgumentError, NoConvergenceError,
@@ -100,6 +101,15 @@ class TestCountZeros:
         prob = SecularProblem(d=1, c=complex(0.0, -1e-4), a=1.0,
                               branch_ref=complex(1.0, 0.5))
         assert count_zeros(prob, (2.0 + 1.0j, 3.0 + 2.0j)) == 0
+
+    def test_one_root_in_extended_lane(self):
+        # |tau| a ~ 4e5: the contour runs in the mp lane
+        params = bumpmod.design_bump(1, 2.0, 1.0, 0.05, 0.05, 0.01)
+        assert abs(params.tau) * params.a > 1e5
+        k = params.k
+        half = min(0.3 * k.imag, math.pi / (8.0 * params.a))
+        box = (k - half - 1j * half, k + half + 1j * half)
+        assert count_zeros(problem_for(params), box) == 1
 
     def test_contour_through_root_detected(self, moderate_bump):
         prob = problem_for(moderate_bump)
@@ -211,12 +221,19 @@ class TestGridOracle:
         assert len(found) == 1
         assert abs(found[0].mu - ref.mu) <= 1e-8 + found[0].residual
 
-    def test_robin_case_matches_transfer(self, moderate_bump):
-        t = 12.0 * moderate_bump.a
-        pot = single_bump_potential(moderate_bump, t, "robin", math.pi / 2.0)
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi / 2.0],
+                             ids=["neumann", "robin", "dirichlet"])
+    def test_robin_case_matches_transfer(self, moderate_bump, phi):
+        # close enough to the wall that it moves mu by more than the grid's
+        # error estimate, so a wrong ghost row cannot pass
+        t = 3.0 * moderate_bump.a
+        pot = single_bump_potential(moderate_bump, t, "robin", phi)
         ref = transfer_eigen_1d(pot, moderate_bump.k)
+        whole = transfer_eigen_1d(single_bump_potential(moderate_bump, t),
+                                  moderate_bump.k)
         found = grid_oracle_1d(pot, ref.mu, 0.02)
         assert found and abs(found[0].mu - ref.mu) <= 1e-8 + found[0].residual
+        assert abs(ref.mu - whole.mu) > found[0].residual
 
     def test_requires_lower_half_target(self, moderate_bump):
         pot = single_bump_potential(moderate_bump)
@@ -233,6 +250,47 @@ class TestGridOracle:
         pot = single_bump_potential(params, 0.0)
         with pytest.raises(GridResolutionError):
             grid_oracle_1d(pot, params.mu, 0.001)
+
+
+def dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi=None):
+    """FD matrix of one step potential, built independently of eigensolve:
+    Dirichlet cuts, and for a Robin phi != pi/2 a ghost node at x = 0."""
+    h = (x_hi - x_lo) / (n + 1)
+    ghost = phi is not None and phi != math.pi / 2.0
+    xs = x_lo + h * np.arange(0 if ghost else 1, n + 1)
+    overlap = np.clip(np.minimum(xs + h / 2.0, right)
+                      - np.maximum(xs - h / 2.0, left), 0.0, None)
+    off = np.full(len(xs) - 1, 1.0 / h ** 2)
+    mat = (np.diag(2.0 / h ** 2 + value * overlap / h)
+           - np.diag(off, 1) - np.diag(off, -1)).astype(complex)
+    if ghost:
+        mat[0, 0] -= 2.0 * math.tan(phi) / h
+        mat[0, 1] = -2.0 / h ** 2
+    return mat
+
+
+class TestGridSigmaMin:
+    @pytest.mark.parametrize("phi", [None, 0.0, 1.0])
+    def test_matches_dense_svd(self, phi):
+        left, right, value = 2.0, 5.0, complex(0.8, -0.3)
+        x_hi, n, z = 10.0, 400, complex(1.0, -0.2)
+        if phi is None:
+            x_lo = -3.0
+            pot = StepPotential1D((left, right), (value,))
+        else:
+            x_lo = 0.0
+            pot = StepPotential1D((left, right), (value,), boundary="robin", phi=phi)
+        mat = dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi)
+        want = scipy.linalg.svdvals(mat - z * np.eye(len(mat))).min()
+        got = grid_sigma_min(pot, z, x_lo, x_hi, n, iters=200)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_singular_shift_raises(self):
+        # h = 1 and a zero potential: H - 2 = tridiag(-1, 0, -1) on three
+        # nodes is exactly singular
+        pot = StepPotential1D((0.5, 1.0), (0.0,))
+        with pytest.raises(np.linalg.LinAlgError):
+            grid_sigma_min(pot, 2.0, 0.0, 4.0, 3)
 
 
 class TestMultiBumpGrid:

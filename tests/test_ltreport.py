@@ -130,18 +130,6 @@ class TestAADCheck:
             ltreport.aad_check(other)
 
 
-class TestFullReport:
-    def test_assembled_record(self, ledger):
-        report = ltreport.full_report(ledger)
-        assert report.p == ledger.p and report.d == ledger.d
-        assert len(report.partial_sums) == len(ledger.entries)
-        assert all(s2 >= s1 for s1, s2 in
-                   zip(report.partial_sums, report.partial_sums[1:]))
-        assert report.norm_p < report.budget
-        assert report.norm_inf < report.budget
-        assert report.aad_checks == (True,) * len(ledger.entries)
-
-
 class TestEmitCloud:
     def test_row_count_and_contracts(self, ledger):
         rows = ltreport.emit_cloud(ledger)

@@ -75,6 +75,25 @@ class TestExamples:
                 assert gamma_real(float(x)) == pytest.approx(want, rel=1e-12)
 
 
+class TestLane:
+    def test_native_up_to_threshold_mp_beyond(self):
+        with specfun.lane(specfun.NATIVE_MAX) as ops:
+            assert not ops.mp
+        with specfun.lane(specfun.NATIVE_MAX * (1.0 + 1e-15)) as ops:
+            assert ops.mp
+
+    def test_precision_scales_with_phase_and_is_restored(self):
+        before = mpmath.mp.dps
+        with specfun.lane(1e17) as ops:
+            assert ops.mp and mpmath.mp.dps == 47
+        assert mpmath.mp.dps == before
+
+    def test_upper_sqrt_picks_decaying_root(self):
+        assert specfun.upper_sqrt(complex(-4.0, -0.0)) == 2j
+        assert specfun.upper_sqrt(complex(3.0, -4.0)) == complex(-2.0, 1.0)
+        assert specfun.upper_sqrt(4.0) == 2.0
+
+
 class TestRatio:
     def test_cot_one(self):
         val = bessel_j_ratio(0.5, 1.0)
