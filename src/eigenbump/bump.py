@@ -91,46 +91,20 @@ def radius_for_index(d: int, nu: float, m: int) -> float:
 
 
 def solve_eta(nu: float, a: float) -> float:
-    """Unique eta > 0 with eta e^{2 eta a} = nu.
+    """Unique eta > 0 with eta e^{2 eta a} = nu, in closed form:
+    eta = W(2 a nu) / (2 a) with W the principal Lambert function.
 
-    The left side is strictly increasing in eta, so the root is bracketed
-    by (0, nu].  Bisection runs on u = log(eta), where the bracket width
-    is ~2 a nu and 200 halvings always reach double resolution.
+    Raises AccuracyError when the residual exceeds 1e-13 nu.
     """
+    # imported here: scipy.special adds ~0.1 s to every command's start
+    import scipy.special
+
     if not (nu > 0.0 and a > 0.0):
         raise InvalidArgumentError("solve_eta requires nu > 0 and a > 0")
-    log_nu = math.log(nu)
-
-    def h(u: float) -> float:
-        try:
-            e = math.exp(u)
-        except OverflowError:
-            return math.inf
-        return u + 2.0 * a * e - log_nu
-
-    u_hi = log_nu
-    u_lo = log_nu - 2.0 * a * nu - 1.0
-    for _ in range(200):
-        u_mid = 0.5 * (u_lo + u_hi)
-        if h(u_mid) > 0.0:
-            u_hi = u_mid
-        else:
-            u_lo = u_mid
-        if u_hi - u_lo <= 1e-17 * max(1.0, abs(u_mid)):
-            break
-    eta = math.exp(0.5 * (u_lo + u_hi))
-    # the log-space bisection stalls at the ulp of log(eta); a few Newton
-    # steps in linear space push the residual down to evaluation noise
-    for _ in range(3):
-        grow = math.exp(2.0 * eta * a)
-        g_val = eta * grow - nu
-        eta_next = eta - g_val / (grow * (1.0 + 2.0 * eta * a))
-        if not (eta_next > 0.0 and math.isfinite(eta_next)):
-            break
-        eta = eta_next
+    eta = float(scipy.special.lambertw(2.0 * a * nu).real) / (2.0 * a)
     residual = abs(eta * math.exp(2.0 * eta * a) - nu)
     if residual > 1e-13 * nu:
-        raise AccuracyError("eta bisection residual %.3e exceeds tolerance" % residual,
+        raise AccuracyError("eta residual %.3e exceeds tolerance" % residual,
                             achieved=residual)
     return eta
 

@@ -35,7 +35,8 @@ from . import bump as bumpmod
 from . import eigensolve, specfun
 from .bump import BumpParams
 from .errors import (ConstructionError, EigenbumpError, GridResolutionError,
-                     InvalidArgumentError, LedgerError, ShiftSearchError)
+                     InvalidArgumentError, LedgerError, NoConvergenceError,
+                     ShiftSearchError)
 
 log = logging.getLogger("eigenbump.construct")
 
@@ -276,8 +277,9 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     discretised H_n - z, the more pessimistic of two grids) over 16 points
     of the circle |z - mu_n| = rho.  A perturbation below gamma_n then
     keeps (H_n + U - z) invertible on the circle, trapping an eigenvalue
-    inside.  When no affordable grid resolves the problem the documented
-    fallback min(gamma_prev, rho/10) is returned with a warning flag.
+    inside.  When no affordable grid resolves the problem, or the
+    sigma_min iteration does not settle, the documented fallback
+    min(gamma_prev, rho/10) is returned with a warning flag.
     """
     rho = _dist_to_halfline(mu_n) / 2.0
     if not rho > 0.0:
@@ -309,7 +311,11 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
         m_here = 0.0
         for idx in range(GAMMA_CIRCLE_POINTS):
             z = mu_n + rho * cmath.exp(2j * math.pi * idx / GAMMA_CIRCLE_POINTS)
-            sigma = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi, n_grid)
+            try:
+                sigma = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi, n_grid)
+            except NoConvergenceError as exc:
+                log.info("gamma step: %s; using fallback", exc)
+                return fallback
             m_here = max(m_here, 1.0 / max(sigma, 1e-300))
         per_grid.append(m_here)
         m_worst = max(m_worst, m_here)

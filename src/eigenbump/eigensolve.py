@@ -41,6 +41,8 @@ SECULAR_TOL = 1e-10
 STEP_TOL = 1e-12
 NEWTON_CAP = 50
 GRID_POINT_CAP = 220_000
+SIGMA_TOL = 1e-12
+SIGMA_ITER_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -523,28 +525,36 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
 
 
 def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
-                   x_hi: float, n: int, iters: int = 30) -> float:
+                   x_hi: float, n: int) -> float:
     """Smallest singular value of the FD discretisation of (H - z) on the
     truncated domain [x_lo, x_hi].
 
     Power iteration on the inverse normal operator, reusing one LU
     factorisation of the tridiagonal H - z for both solves of every step;
-    1/sigma_min estimates the resolvent norm on the grid.  Raises
-    LinAlgError when H - z is exactly singular.
+    1/sigma_min estimates the resolvent norm on the grid.  The start
+    vector is a ramp, which is neither even nor odd, so a mirror-symmetric
+    operator cannot hide its smallest singular vector from the iteration.
+    The growth never decreases; the iteration stops once it changes by at
+    most SIGMA_TOL relative, and raises NoConvergenceError after
+    SIGMA_ITER_CAP steps.  Raises LinAlgError when H - z is exactly
+    singular.
     """
     lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
     *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
     if info != 0:
         raise np.linalg.LinAlgError("H - z is singular on the grid (info %d)" % info)
-    m = len(main)
-    v = np.ones(m, dtype=complex) / math.sqrt(m)
-    growth = 1.0
-    for _ in range(iters):
+    v = np.linspace(1.0, 2.0, len(main)).astype(complex)
+    v /= np.linalg.norm(v)
+    growth = 0.0
+    for _ in range(SIGMA_ITER_CAP):
         w, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C")
         u, _ = scipy.linalg.lapack.zgttrs(*factors, w)
-        growth = float(np.linalg.norm(u))
+        prev, growth = growth, float(np.linalg.norm(u))
         v = u / growth
-    return 1.0 / math.sqrt(growth)
+        if growth - prev <= SIGMA_TOL * growth:
+            return 1.0 / math.sqrt(growth)
+    raise NoConvergenceError("sigma_min power iteration: growth still moving "
+                             "after %d steps" % SIGMA_ITER_CAP)
 
 
 def _finite_c(z: complex) -> bool:

@@ -10,14 +10,14 @@ Evaluation strategy in double precision:
   * ``|z| >= 30``      Hankel's large-argument expansion truncated at its
                        smallest term.
 
-Beyond ``|z| ~ 3e4`` the trigonometric phase of the expansion is no longer
-representable to the accuracy this library promises, so such arguments are
-delegated to arbitrary-precision arithmetic with the working precision
-scaled to the phase.  That rule is the package's one precision lane
+Beyond ``|z| ~ 3e4`` the rounding of an argument formed in double
+precision (z = tau * a) moves its phase by more than the accuracy this
+library promises, so such arguments are delegated to arbitrary-precision
+arithmetic with the working precision scaled to the phase.  That rule is the package's one precision lane
 (``lane``): every solver whose phase can pass 3e4 picks its arithmetic
-through it.  Ratios J_{n-1}(z)/J_n(z) are computed by a modified
-Lentz continued fraction, which stays finite near zeros of the numerator
-and avoids the overflow/cancellation of naive division.
+through it.  Ratios J_{n-1}(z)/J_n(z) are the quotient of the two
+evaluations, in both lanes; near a zero of the denominator the ratio
+raises PoleError instead.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import AccuracyError, InvalidArgumentError, PoleError
 SERIES_MAX = 12.0
 ASYMPT_MIN = 30.0
 # largest phase (here |z|) evaluated in double precision; above this the
-# phase error eps*|z| of argument reduction would exceed ~1e-11
+# phase error eps*|z| of a rounded argument would exceed ~1e-11
 NATIVE_MAX = 3.0e4
 
 # mpmath's working precision is process-global; every extended-precision
@@ -242,7 +242,13 @@ def _jv_hankel(order: float, z: complex, target: float) -> complex:
         raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
                             achieved=math.inf)
     mu = 4.0 * order * order
-    chi = z - (0.5 * order + 0.25) * math.pi
+    # cos/sin of chi = z - theta by rotating cos z, sin z through theta:
+    # the rounded difference z - theta would carry a phase error eps*|z|
+    theta = (0.5 * order + 0.25) * math.pi
+    cos_z, sin_z = cmath.cos(z), cmath.sin(z)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_chi = cos_z * cos_t + sin_z * sin_t
+    sin_chi = sin_z * cos_t - cos_z * sin_t
     u = 1.0 + 0.0j
     p_sum = 1.0 + 0.0j
     q_sum = 0.0 + 0.0j
@@ -261,12 +267,12 @@ def _jv_hankel(order: float, z: complex, target: float) -> complex:
         if au == 0.0:
             min_term = 0.0
             break  # exact termination (half-integer order)
-    comb = p_sum * cmath.cos(chi) - q_sum * cmath.sin(chi)
-    env = abs(cmath.cos(chi)) + abs(cmath.sin(chi))
-    # truncation plus the phase rounding eps*|z| of argument reduction,
-    # measured against the envelope scale e^{|Im z|} near zeros of J
+    comb = p_sum * cos_chi - q_sum * sin_chi
+    env = abs(cos_chi) + abs(sin_chi)
+    # truncation, measured against the envelope scale e^{|Im z|} near
+    # zeros of J
     floor = math.exp(abs(z.imag))
-    est = (min_term + 2.3e-16 * abs(z)) * env / max(abs(comb), floor, 1e-300) + 4e-16
+    est = min_term * env / max(abs(comb), floor, 1e-300) + 4e-16
     if est > target:
         raise AccuracyError("asymptotic expansion below target accuracy", achieved=est)
     return cmath.sqrt(2.0 / (math.pi * z)) * comb
@@ -335,14 +341,11 @@ def _envelope(z: complex) -> float:
     return math.sqrt(2.0 / (math.pi * max(abs(z), 0.3))) * math.exp(abs(z.imag))
 
 
-def bessel_j_ratio(order: float, z: complex, tol: float = 1e-12) -> complex:
-    """J_{order-1}(z) / J_order(z) by a modified Lentz continued fraction.
+def bessel_j_ratio(order: float, z: complex) -> complex:
+    """J_{order-1}(z) / J_order(z), the quotient of the two evaluations.
 
-    The recurrence J_{n-1} + J_{n+1} = (2n/z) J_n gives
-        J_{n-1}/J_n = 2n/z - 1/(2(n+1)/z - 1/(2(n+2)/z - ...)),
-    whose tail is the minimal-solution ratio, so the fraction converges for
-    every z off the poles.  Raises PoleError (with a Newton distance
-    estimate) when z sits within working tolerance of a zero of J_order.
+    Raises PoleError (with a Newton distance estimate) when z sits within
+    working tolerance of a zero of J_order.
     """
     if not (math.isfinite(order) and _is_finite_c(z)):
         raise InvalidArgumentError("bessel_j_ratio requires finite inputs")
@@ -354,42 +357,16 @@ def bessel_j_ratio(order: float, z: complex, tol: float = 1e-12) -> complex:
         if ops.mp:
             return complex(bessel_ratio_mp(order, mpmath.mpc(z)))
 
-    value = _lentz_ratio(order, z, az)
-
-    # pole guard: compare |J_order| against its typical envelope
+    j_prev = _jv(order - 1.0, z, 1e-8)
     j_n = _jv(order, z, 1e-8)
+    # pole guard: compare |J_order| against its typical envelope
     envelope = math.sqrt(2.0 / (math.pi * max(az, 0.5))) * math.exp(abs(z.imag))
     if abs(j_n) < 1e-12 * envelope:
-        j_prime = value * j_n - (order / z) * j_n  # J_{n-1} - n J_n / z
+        j_prime = j_prev - (order / z) * j_n
         dist = abs(j_n / j_prime) if j_prime != 0 else 0.0
         raise PoleError(
             "z=%r lies within tolerance of a zero of J_%g" % (z, order), distance=dist)
-    return value
-
-
-def _lentz_ratio(order: float, z: complex, az: float) -> complex:
-    tiny = 1e-30
-    b0 = 2.0 * order / z
-    f = b0 if b0 != 0 else complex(tiny)
-    c = f
-    d = 0.0 + 0.0j
-    n_max = int(3 * az) + 50000
-    for j in range(1, n_max):
-        a_j = -1.0
-        b_j = 2.0 * (order + j) / z
-        d = b_j + a_j * d
-        if d == 0:
-            d = complex(tiny)
-        c = b_j + a_j / c
-        if c == 0:
-            c = complex(tiny)
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        if j > 3 and abs(delta - 1.0) < 5e-15:
-            return f
-    raise AccuracyError("continued fraction for Bessel ratio did not converge",
-                        achieved=abs(delta - 1.0))
+    return j_prev / j_n
 
 
 def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":

@@ -44,7 +44,7 @@ class TestEta:
     def test_residual_contract(self, rng):
         for _ in range(60):
             nu = float(rng.uniform(0.05, 4.0))
-            a = float(rng.uniform(0.2, 5e4))
+            a = float(math.exp(rng.uniform(math.log(0.2), math.log(1e17))))
             eta = solve_eta(nu, a)
             assert 0.0 < eta <= nu
             assert abs(eta * math.exp(2.0 * eta * a) - nu) <= 1e-13 * nu

@@ -269,11 +269,20 @@ def dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi=None):
     return mat
 
 
+# the whole-line domain [-3, 10] centres the step [2, 5], so H is
+# mirror-symmetric; at 2+0.1i an even start vector misses the smallest
+# singular vector, which is odd.  The first shift keeps its bare ids.
+SIGMA_CASES = [pytest.param(phi, z, id=str(phi) if z == complex(1.0, -0.2)
+                            else "%s-z=%s" % (phi, z))
+               for z in (complex(1.0, -0.2), complex(2.0, 0.1))
+               for phi in (None, 0.0, 1.0)]
+
+
 class TestGridSigmaMin:
-    @pytest.mark.parametrize("phi", [None, 0.0, 1.0])
-    def test_matches_dense_svd(self, phi):
+    @pytest.mark.parametrize("phi,z", SIGMA_CASES)
+    def test_matches_dense_svd(self, phi, z):
         left, right, value = 2.0, 5.0, complex(0.8, -0.3)
-        x_hi, n, z = 10.0, 400, complex(1.0, -0.2)
+        x_hi, n = 10.0, 400
         if phi is None:
             x_lo = -3.0
             pot = StepPotential1D((left, right), (value,))
@@ -282,7 +291,7 @@ class TestGridSigmaMin:
             pot = StepPotential1D((left, right), (value,), boundary="robin", phi=phi)
         mat = dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi)
         want = scipy.linalg.svdvals(mat - z * np.eye(len(mat))).min()
-        got = grid_sigma_min(pot, z, x_lo, x_hi, n, iters=200)
+        got = grid_sigma_min(pot, z, x_lo, x_hi, n)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_singular_shift_raises(self):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from eigenbump import specfun
+from eigenbump.bump import radius_for_index, solve_eta
+from eigenbump.construct import enumerate_targets
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
 
@@ -118,6 +120,24 @@ class TestRatio:
                     continue
                 got = bessel_j_ratio(order, z)
                 assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_native_range_matches_mpmath(self, d):
+        # inner arguments tau * a of desk bumps up to the native ceiling,
+        # where a phase error eps*|z| would reach ~1e-12
+        order = d / 2.0 - 1.0
+        checked = 0
+        for n in range(1, 6):
+            nu = math.sqrt(float(enumerate_targets(n).q))
+            for m in (8, 30, 100, 300, 1000, 3000, 9000, 9540):
+                a = radius_for_index(d, nu, m)
+                z = complex(nu, solve_eta(nu, a)) * a
+                if not 25.0 < abs(z) <= specfun.NATIVE_MAX:
+                    continue
+                want = mp_j(order - 1.0, z) / mp_j(order, z)
+                assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-13)
+                checked += 1
+        assert checked >= 30
 
     def test_pole_detected(self):
         # first zero of J_0
