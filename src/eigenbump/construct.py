@@ -279,31 +279,33 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     keeps (H_n + U - z) invertible on the circle, trapping an eigenvalue
     inside.  When no affordable grid resolves the problem, or the
     sigma_min iteration does not settle, the documented fallback
-    min(gamma_prev, rho/10) is returned with a warning flag.
+    min(gamma_prev, rho/10) is returned, flagged, with its reason logged.
     """
     rho = _dist_to_halfline(mu_n) / 2.0
     if not rho > 0.0:
         raise InvalidArgumentError("mu_n sits on the essential spectrum")
-    fallback = GammaEstimate(gamma=min(gamma_prev, rho / 10.0), rho=rho,
+
+    def fallback(why) -> GammaEstimate:
+        log.info("gamma step: %s; using fallback", why)
+        return GammaEstimate(gamma=min(gamma_prev, rho / 10.0), rho=rho,
                              warning=True, method="fallback")
     if ledger.d != 1 or not ledger.entries:
-        return fallback
+        return fallback("no 1-d entries to grid (d = %d)" % ledger.d)
 
     phi = ledger.phi if ledger.phi is not None else 0.0
     pot = step_potential(ledger.entries, ledger.domain, phi)
     try:
         x_lo, x_hi, n_pts = eigensolve.grid_layout(pot, mu_n)
     except GridResolutionError as exc:
-        log.info("gamma step: %s; using fallback", exc)
-        return fallback
+        return fallback(exc)
 
     # the discretisation must place mu_n well inside the rho-circle
     try:
         located = eigensolve.grid_oracle_1d(pot, mu_n, max(4.0 * rho, 1e-8))
-    except GridResolutionError:
-        return fallback
+    except GridResolutionError as exc:
+        return fallback(exc)
     if not located or abs(located[0].mu - mu_n) > rho / 5.0:
-        return fallback
+        return fallback("no grid eigenvalue within rho/5 of mu_n")
 
     m_worst = 0.0
     per_grid = []
@@ -314,13 +316,12 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
             try:
                 sigma = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi, n_grid)
             except NoConvergenceError as exc:
-                log.info("gamma step: %s; using fallback", exc)
-                return fallback
+                return fallback(exc)
             m_here = max(m_here, 1.0 / max(sigma, 1e-300))
         per_grid.append(m_here)
         m_worst = max(m_worst, m_here)
     if max(per_grid) > 3.0 * min(per_grid):
-        return fallback  # grids disagree; resolution suspect
+        return fallback("grids disagree: resolvent norms %.3e, %.3e" % tuple(per_grid))
     gamma = min(gamma_prev, rho / (2.0 * m_worst))
     return GammaEstimate(gamma=gamma, rho=rho, warning=False, method="resolvent")
 

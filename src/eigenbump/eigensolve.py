@@ -7,8 +7,9 @@ Three routes that share as little code as possible:
     counter,
   * an exact 2x2 transfer-matrix solver for 1-d step potentials on the
     whole line and the Robin half-line,
-  * a finite-difference grid oracle (shift-invert Arnoldi plus Richardson
-    extrapolation over two resolutions) for 1-d cross-validation.
+  * a finite-difference grid oracle for 1-d cross-validation: the grid
+    eigenvalue nearest a target, by Arnoldi on one tridiagonal LU, with
+    Richardson extrapolation over two resolutions.
 
 Wavenumbers live in the upper half-plane (Im k > 0 encodes decay), and
 every square root sqrt(k^2 - c) is tracked continuously from a reference
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import specfun
@@ -433,20 +433,31 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     return lower, main, upper, h
 
 
-def _fd_eigs(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
-             target: complex, n_eigs: int = 6):
-    """Eigenvalues of the FD discretisation closest to the target.
+def _fd_lu(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
+           z: complex):
+    """LAPACK zgttrf factors of the tridiagonal FD form of H - z; raises
+    LinAlgError when H - z is exactly singular on the grid."""
+    lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
+    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("H - z is singular on the grid (info %d)" % info)
+    return factors
 
-    Uses shift-invert Arnoldi with a fixed start vector for determinism.
-    """
-    lower, main, upper, h = _fd_operator(potential, x_lo, x_hi, n)
-    mat = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="csc",
-                             dtype=complex)
-    m = len(main)
+
+def _fd_nearest(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
+                target: complex) -> complex:
+    """The eigenvalue of the FD discretisation nearest the target: target +
+    1/theta for the largest eigenvalue theta of (H - target)^-1, found by
+    Arnoldi through one tridiagonal LU from a fixed, deterministic start."""
+    factors = _fd_lu(potential, x_lo, x_hi, n, target)
+    m = len(factors[1])
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (m, m), matvec=lambda v: scipy.linalg.lapack.zgttrs(*factors, v)[0],
+        dtype=complex)
     v0 = np.ones(m, dtype=complex) / math.sqrt(m)
-    k_want = min(n_eigs, m - 2)
-    w, _ = scipy.sparse.linalg.eigs(mat, k=k_want, sigma=target, v0=v0)
-    return np.asarray(w), h
+    theta = scipy.sparse.linalg.eigs(inverse, k=1, v0=v0,
+                                     return_eigenvectors=False)[0]
+    return complex(target) + 1.0 / complex(theta)
 
 
 def grid_layout(potential: StepPotential1D, target: complex):
@@ -474,12 +485,15 @@ def grid_layout(potential: StepPotential1D, target: complex):
 
 def grid_oracle_1d(potential: StepPotential1D, target: complex,
                    radius: float) -> list:
-    """All discrete eigenvalues inside B(target, radius), Richardson-
-    extrapolated over two grid resolutions, with error estimates.
+    """The discrete eigenvalue nearest the target, Richardson-extrapolated
+    over two grid resolutions with an error estimate: a one-entry list when
+    it lies inside B(target, radius), empty when it lies clearly outside.
+    Other eigenvalues in the disk (box modes of the cut continuum) are not
+    sought.
 
     Raises GridResolutionError when the truncated domain would need more
-    points than the cap or when the two resolutions disagree by more than
-    radius/10.
+    points than the cap, when disk membership is undecidable at this
+    resolution, or when the two resolutions disagree by more than radius/10.
     """
     target = complex(target)
     if not target.imag < 0.0:
@@ -487,41 +501,29 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
     if not radius > 0.0:
         raise InvalidArgumentError("radius must be positive")
     x_lo, x_hi, n = grid_layout(potential, target)
-    w_coarse, _ = _fd_eigs(potential, x_lo, x_hi, n, target)
-    w_fine, _ = _fd_eigs(potential, x_lo, x_hi, 2 * n + 1, target)
-
-    results = []
-    used_coarse = set()
-    for mu_f in w_fine:
-        order = np.argsort(np.abs(w_coarse - mu_f))
-        idx = next((int(i) for i in order if int(i) not in used_coarse), None)
-        if idx is None:
-            raise GridResolutionError("no coarse-grid partner for %r" % (mu_f,))
-        mu_c = w_coarse[idx]
-        disc = abs(mu_f - mu_c)
-        dist = abs(mu_f - target)
-        if dist > radius + 10.0 * disc:
-            continue  # clearly outside the disk
-        if dist > radius:
-            # inside-the-disk membership is not decidable at this resolution
-            raise GridResolutionError(
-                "eigenvalue at distance %.3e from the target cannot be "
-                "resolved against radius %.3e (grid discrepancy %.3e)"
-                % (dist, radius, disc))
-        if disc > radius / 10.0:
-            raise GridResolutionError(
-                "two-resolution discrepancy %.3e exceeds radius/10" % disc)
-        used_coarse.add(idx)
-        mu_r = mu_f + (mu_f - mu_c) / 3.0  # h^2 -> h^2/4 extrapolation
-        # the h^2 coefficient depends on where the step edges fall inside
-        # their cells, which differs between the two grids; the full
-        # discrepancy (not the clean-h^2 third of it) covers the residue
-        err = max(disc, 1e-14)
-        k_val = specfun.upper_sqrt(complex(mu_r))
-        results.append(EigenResult(k=k_val, mu=k_val * k_val,
-                                   residual=float(err), method="grid"))
-    results.sort(key=lambda r: abs(r.mu - target))
-    return results
+    mu_c = _fd_nearest(potential, x_lo, x_hi, n, target)
+    mu_f = _fd_nearest(potential, x_lo, x_hi, 2 * n + 1, target)
+    disc = abs(mu_f - mu_c)
+    dist = abs(mu_f - target)
+    if dist > radius + 10.0 * disc:
+        return []  # clearly outside the disk
+    if dist > radius:
+        # inside-the-disk membership is not decidable at this resolution
+        raise GridResolutionError(
+            "eigenvalue at distance %.3e from the target cannot be "
+            "resolved against radius %.3e (grid discrepancy %.3e)"
+            % (dist, radius, disc))
+    if disc > radius / 10.0:
+        raise GridResolutionError(
+            "two-resolution discrepancy %.3e exceeds radius/10" % disc)
+    mu_r = mu_f + (mu_f - mu_c) / 3.0  # h^2 -> h^2/4 extrapolation
+    # the h^2 coefficient depends on where the step edges fall inside
+    # their cells, which differs between the two grids; the full
+    # discrepancy (not the clean-h^2 third of it) covers the residue
+    err = max(disc, 1e-14)
+    k_val = specfun.upper_sqrt(mu_r)
+    return [EigenResult(k=k_val, mu=k_val * k_val, residual=float(err),
+                        method="grid")]
 
 
 def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
@@ -529,8 +531,8 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     """Smallest singular value of the FD discretisation of (H - z) on the
     truncated domain [x_lo, x_hi].
 
-    Power iteration on the inverse normal operator, reusing one LU
-    factorisation of the tridiagonal H - z for both solves of every step;
+    Power iteration on the inverse normal operator, reusing the one
+    tridiagonal LU of H - z (``_fd_lu``) for both solves of every step;
     1/sigma_min estimates the resolvent norm on the grid.  The start
     vector is a ramp, which is neither even nor odd, so a mirror-symmetric
     operator cannot hide its smallest singular vector from the iteration.
@@ -539,11 +541,8 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     SIGMA_ITER_CAP steps.  Raises LinAlgError when H - z is exactly
     singular.
     """
-    lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
-    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
-    if info != 0:
-        raise np.linalg.LinAlgError("H - z is singular on the grid (info %d)" % info)
-    v = np.linspace(1.0, 2.0, len(main)).astype(complex)
+    factors = _fd_lu(potential, x_lo, x_hi, n, z)
+    v = np.linspace(1.0, 2.0, len(factors[1])).astype(complex)
     v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(SIGMA_ITER_CAP):

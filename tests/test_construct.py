@@ -1,6 +1,7 @@
 """Enumeration, budgets, shifts, stability radii and full builds."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from eigenbump import construct, eigensolve, ltreport
 from eigenbump.construct import (ConstructionLedger, Target, budgets, build,
                                  choose_shift, enumerate_targets,
                                  estimate_gamma, step_potential, target_index)
-from eigenbump.errors import (ConstructionError, InvalidArgumentError,
-                              LedgerError, ShiftSearchError)
+from eigenbump.errors import (ConstructionError, GridResolutionError,
+                              InvalidArgumentError, LedgerError,
+                              ShiftSearchError)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,18 @@ class TestEstimateGamma:
         assert generous_ledger.entries[1].gamma_warning
         e = generous_ledger.entries[1]
         assert e.gamma_n <= e.rho_n / 10.0 + 1e-18
+
+    def test_fallback_logs_its_reason(self, generous_ledger, monkeypatch,
+                                      caplog):
+        def failing(*args):
+            raise GridResolutionError("grid says no")
+        monkeypatch.setattr(construct.eigensolve, "grid_oracle_1d", failing)
+        # step 1 alone is small enough to grid, so the oracle is reached
+        first = replace(generous_ledger, entries=generous_ledger.entries[:1])
+        with caplog.at_level("INFO", logger="eigenbump.construct"):
+            got = estimate_gamma(first, first.entries[0].mu_n)
+        assert got.warning and got.method == "fallback"
+        assert "gamma step: grid says no; using fallback" in caplog.messages
 
     def test_perturbation_attack(self, generous_ledger):
         # an explicit real perturbation of size gamma/2 on the supports must

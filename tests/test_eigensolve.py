@@ -9,7 +9,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
-from eigenbump.eigensolve import (SecularProblem, StepPotential1D,
+from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
                                   count_zeros, grid_oracle_1d, grid_sigma_min,
                                   refine_eigen, secular_residual, step_matrix,
                                   transfer_eigen_1d)
@@ -234,6 +234,31 @@ class TestGridOracle:
         found = grid_oracle_1d(pot, ref.mu, 0.02)
         assert found and abs(found[0].mu - ref.mu) <= 1e-8 + found[0].residual
         assert abs(ref.mu - whole.mu) > found[0].residual
+
+    @pytest.mark.parametrize("phi", [None, 0.0, 1.0])
+    def test_nearest_matches_dense_eig(self, phi):
+        left, right, value = 2.0, 5.0, complex(0.8, -0.3)
+        x_lo, x_hi, n, target = -3.0, 10.0, 400, complex(1.0, -0.2)
+        if phi is None:
+            pot = StepPotential1D((left, right), (value,))
+        else:
+            x_lo = 0.0
+            pot = StepPotential1D((left, right), (value,), boundary="robin", phi=phi)
+        eigs = scipy.linalg.eigvals(
+            dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi))
+        want = eigs[np.argmin(np.abs(eigs - target))]
+        got = _fd_nearest(pot, x_lo, x_hi, n, target)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_box_eigenvalue_at_disk_edge(self, moderate_bump):
+        # the second-nearest grid eigenvalue, a box mode of the cut
+        # continuum, sits just outside this radius (0.20353); the oracle
+        # must not fail on an eigenvalue nobody asked for
+        pot = single_bump_potential(moderate_bump, 4.0)
+        ref = transfer_eigen_1d(pot, moderate_bump.k)
+        found = grid_oracle_1d(pot, ref.mu, 0.2034)
+        assert len(found) == 1
+        assert abs(found[0].mu - ref.mu) <= 1e-8 + found[0].residual
 
     def test_requires_lower_half_target(self, moderate_bump):
         pot = single_bump_potential(moderate_bump)
