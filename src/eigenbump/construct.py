@@ -388,14 +388,9 @@ def build(d: int, p: float, budget: float, steps: int, domain: str = "whole",
                 raise ConstructionError(
                     "step %d: mu=%r missed the capture ball around %s" % (n, mu_n, target.q))
 
-            if d == 1:
-                est = estimate_gamma(_with_entry(ledger, n, target, eps_n, delta_n,
-                                                 bp, t_n, mu_n, res_mu, k_mu),
-                                     mu_n, gamma_prev)
-            else:
-                rho = _dist_to_halfline(mu_n) / 2.0
-                est = GammaEstimate(gamma=min(gamma_prev, rho / 10.0), rho=rho,
-                                    warning=True, method="fallback")
+            est = estimate_gamma(_with_entry(ledger, n, target, eps_n, delta_n,
+                                             bp, t_n, mu_n, res_mu, k_mu),
+                                 mu_n, gamma_prev)
             entry = LedgerEntry(n=n, target=target, eps_n=eps_n, delta_n=delta_n,
                                 bump=bp, t=t_n, mu_n=mu_n, residual_mu=res_mu,
                                 rho_n=est.rho, gamma_n=est.gamma,

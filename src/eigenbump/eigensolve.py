@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse.linalg
 
 from . import specfun
 from .errors import (AccuracyError, BranchError, ContourError,
@@ -437,6 +435,11 @@ def _fd_lu(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
            z: complex):
     """LAPACK zgttrf factors of the tridiagonal FD form of H - z; raises
     LinAlgError when H - z is exactly singular on the grid."""
+    # scipy is imported in the grid functions, not at module level: desk
+    # runs never touch the grid, and scipy.linalg adds ~0.4 s to every
+    # command's start
+    import scipy.linalg.lapack
+
     lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
     *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
     if info != 0:
@@ -449,12 +452,18 @@ def _fd_nearest(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
     """The eigenvalue of the FD discretisation nearest the target: target +
     1/theta for the largest eigenvalue theta of (H - target)^-1, found by
     Arnoldi through one tridiagonal LU from a fixed, deterministic start."""
+    import scipy.linalg.lapack
+    import scipy.sparse.linalg
+
     factors = _fd_lu(potential, x_lo, x_hi, n, target)
     m = len(factors[1])
     inverse = scipy.sparse.linalg.LinearOperator(
         (m, m), matvec=lambda v: scipy.linalg.lapack.zgttrs(*factors, v)[0],
         dtype=complex)
     v0 = np.ones(m, dtype=complex) / math.sqrt(m)
+    # ARPACK's default basis (ncv = 20): the nearest eigenvalue of a cut
+    # continuum need not dominate, and with ncv = 4 the zero potential
+    # never converges
     theta = scipy.sparse.linalg.eigs(inverse, k=1, v0=v0,
                                      return_eigenvectors=False)[0]
     return complex(target) + 1.0 / complex(theta)
@@ -541,6 +550,8 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     SIGMA_ITER_CAP steps.  Raises LinAlgError when H - z is exactly
     singular.
     """
+    import scipy.linalg.lapack
+
     factors = _fd_lu(potential, x_lo, x_hi, n, z)
     v = np.linspace(1.0, 2.0, len(factors[1])).astype(complex)
     v /= np.linalg.norm(v)

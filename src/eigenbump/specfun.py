@@ -16,7 +16,9 @@ library promises, so such arguments are delegated to arbitrary-precision
 arithmetic with the working precision scaled to the phase.  That rule is the package's one precision lane
 (``lane``): every solver whose phase can pass 3e4 picks its arithmetic
 through it.  Ratios J_{n-1}(z)/J_n(z) are the quotient of the two
-evaluations, in both lanes; near a zero of the denominator the ratio
+evaluations, except for half-integer orders in the mpmath lane, where the
+ratio is elementary (cot z for n = 1/2, carried to other half-integers by
+the three-term recurrence); near a zero of the denominator the ratio
 raises PoleError instead.
 """
 
@@ -342,7 +344,8 @@ def _envelope(z: complex) -> float:
 
 
 def bessel_j_ratio(order: float, z: complex) -> complex:
-    """J_{order-1}(z) / J_order(z), the quotient of the two evaluations.
+    """J_{order-1}(z) / J_order(z), the quotient of the two evaluations;
+    beyond NATIVE_MAX, ``bessel_ratio_mp`` at the lane's precision.
 
     Raises PoleError (with a Newton distance estimate) when z sits within
     working tolerance of a zero of J_order.
@@ -370,7 +373,25 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
 
 
 def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
-    """J_{order-1}(z)/J_order(z) at the caller's current mpmath precision."""
+    """J_{order-1}(z)/J_order(z) at the caller's current mpmath precision.
+
+    Half-integer orders (every odd dimension) are elementary: J_{-1/2} and
+    J_{1/2} are cos z and sin z times a common factor, and the three-term
+    recurrence J_{n-1} + J_{n+1} = (2n/z) J_n carries that pair down or up
+    to (J_{order-1}, J_order).  Upward is stable because this lane has
+    |z| > NATIVE_MAX, far above the order.  Other orders are the quotient
+    of the two ``besselj`` evaluations.
+    """
+    if order % 1.0 == 0.5:
+        # (J_{n-1}, J_n) up to a common factor, starting at n = 1/2
+        prev, cur, n = mpmath.cos(z), mpmath.sin(z), 0.5
+        while n > order:
+            prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
+        while n < order:
+            prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
+        if cur == 0:
+            raise PoleError("J_%g vanishes at z=%s" % (order, z), distance=0.0)
+        return prev / cur
     denom = mpmath.besselj(order, z)
     if denom == 0:
         raise PoleError("J_%g vanishes at z=%s" % (order, z), distance=0.0)

@@ -1,6 +1,10 @@
 """CLI: validation, exit codes, ledger round trips, CSV export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,14 @@ class TestDeterminismAndRoundTrip:
         for doc in docs:
             doc.pop("created")
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported where the grid and eta need it, not at start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, eigenbump.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -193,6 +193,13 @@ class TestEstimateGamma:
         assert got.warning and got.method == "fallback"
         assert "gamma step: grid says no; using fallback" in caplog.messages
 
+    def test_d2_build_logs_fallback_reason(self, caplog):
+        with caplog.at_level("INFO", logger="eigenbump.construct"):
+            ledger = build(2, 3.0, 1.0, 1)
+        assert ledger.entries[0].gamma_warning
+        assert ("gamma step: no 1-d entries to grid (d = 2); using fallback"
+                in caplog.messages)
+
     def test_perturbation_attack(self, generous_ledger):
         # an explicit real perturbation of size gamma/2 on the supports must
         # keep an eigenvalue inside the rho-circle

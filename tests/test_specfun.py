@@ -139,6 +139,24 @@ class TestRatio:
                 checked += 1
         assert checked >= 30
 
+    @pytest.mark.parametrize("order", [-0.5, 0.5, 1.5])
+    @pytest.mark.parametrize("r", [3.1e4, 1e6, 1e10, 1e17])
+    def test_mp_half_integer_matches_besselj(self, order, r):
+        # the elementary ratio against the besselj pair, at the lane's
+        # precision and an imaginary part like a desk bump's eta * a
+        with specfun.lane(r) as ops:
+            assert ops.mp
+            z = mpmath.mpc(r, 12.5)
+            want = mpmath.besselj(order - 1.0, z) / mpmath.besselj(order, z)
+            got = specfun.bessel_ratio_mp(order, z)
+            assert abs(got - want) <= 1e-30 * abs(want)
+
+    def test_mp_integer_order_is_besselj_pair(self):
+        with specfun.lane(1e10):
+            z = mpmath.mpc(1e10, 12.5)
+            want = mpmath.besselj(-1.0, z) / mpmath.besselj(0.0, z)
+            assert specfun.bessel_ratio_mp(0.0, z) == want
+
     def test_pole_detected(self):
         # first zero of J_0
         j0_zero = 2.404825557695773
