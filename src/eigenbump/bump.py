@@ -18,11 +18,15 @@ c = k^2 - tau^2, and as m grows both |c| and |mu - lam| shrink like eta
 while Im k stays positive, which is what lets arbitrarily small bumps
 park an eigenvalue next to any point of (0, infinity).
 
-``design_bump`` searches the smallest index m whose bump satisfies given
-L^p, L^inf and capture budgets.  At large indices (radii beyond ~1e4
-wavelengths) all wavenumber arithmetic runs at scaled arbitrary precision
-and the double-rounded fields are what the constraints are checked
-against; the stored doubles are the artifact.
+``design_bump`` gallops from index 0 (probing 0, 1, 2, 4, ...) and then
+bisects to the feasibility frontier: an index m whose bump meets given
+L^p, L^inf and capture budgets while index m - 1 (if any) does not.  The
+search assumes feasibility is upward closed in m, as |c| and |mu - lam|
+shrink along m; where that fails at small m, the frontier it returns
+need not be the smallest feasible index.  At large indices (radii beyond
+~1e4 wavelengths) all wavenumber arithmetic runs at scaled arbitrary
+precision and the double-rounded fields are what the constraints are
+checked against; the stored doubles are the artifact.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import numpy as np
 from . import eigensolve, specfun
 from .errors import AccuracyError, BudgetInfeasibleError, InvalidArgumentError
 
-# linear scan range before switching to geometric bracketing
-LINEAR_SCAN_MAX = 1024
 RESIDUAL_TOL = 1e-10
 
 
@@ -195,7 +197,7 @@ def _check_dim(d) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bump design: smallest index meeting all budgets
+# bump design: the frontier index meeting all budgets
 
 
 def _candidate(d: int, nu: float, lam: float, m: int) -> BumpParams:
@@ -226,15 +228,19 @@ def _first_failure(params: BumpParams, p: float, eps: float, delta: float,
 
 def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
                 r: float, m_cap: int = 10 ** 18) -> BumpParams:
-    """Smallest-index bump with ||U||_p < eps, ||U||_inf < delta,
+    """Frontier-index bump with ||U||_p < eps, ||U||_inf < delta,
     |mu - lam| < r, Im mu < 0 and a secular residual <= 1e-10.
 
-    Indices are scanned linearly up to 1024 and by geometric bracketing
-    plus bisection beyond that (the budgets shrink monotonically along m
-    once the asymptotic regime is reached, and desk-scale budgets can
-    require indices around 1e10..1e17 where a literal scan is impossible).
-    Raises BudgetInfeasibleError naming the last failed constraint when no
-    index up to m_cap works.
+    One galloping search: indices 0, 1, 2, 4, 8, ... (each capped at
+    m_cap) are probed until one is feasible, then the interval (last
+    infeasible, first feasible] is bisected.  The index found sits on the
+    feasibility frontier: it is 0, or index m - 1 is infeasible.  Assuming
+    feasibility is upward closed in m (the budgets shrink along m once the
+    asymptotic regime is reached), that is the smallest feasible index.
+    Desk-scale budgets need indices around 1e5..1e17, which the search
+    reaches in O(log m) probes.  The residual confirmation may still move
+    the index up by a few steps.  Raises BudgetInfeasibleError naming the
+    constraint index m_cap fails when no probe up to it works.
     """
     _check_dim(d)
     if not p > d:
@@ -243,48 +249,31 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
         raise InvalidArgumentError("lam must lie in (0, inf)")
     if not (eps > 0.0 and delta > 0.0 and r > 0.0):
         raise InvalidArgumentError("budgets eps, delta, r must be positive")
+    if m_cap < 0:
+        raise InvalidArgumentError("m_cap must be >= 0, got %r" % (m_cap,))
 
     nu = math.sqrt(lam)
-    last_failure = "none_probed"
 
-    def feasible(m: int):
-        nonlocal last_failure
+    def probe(m: int):
         params = _candidate(d, nu, lam, m)
-        fail = _first_failure(params, p, eps, delta, r)
-        if fail is not None:
-            last_failure = fail
-        return (fail is None), params
+        return _first_failure(params, p, eps, delta, r), params
 
-    found_m = None
-    found = None
-    for m in range(0, min(LINEAR_SCAN_MAX, m_cap) + 1):
-        ok, params = feasible(m)
-        if ok:
-            found_m, found = m, params
+    lo, m = -1, 0  # lo: the last infeasible index probed
+    while True:
+        fail, found = probe(m)
+        if fail is None:
             break
-    if found_m is None and m_cap > LINEAR_SCAN_MAX:
-        hi = LINEAR_SCAN_MAX
-        lo = LINEAR_SCAN_MAX
-        while hi < m_cap:
-            hi = min(2 * hi, m_cap)
-            ok, params = feasible(hi)
-            if ok:
-                found_m, found = hi, params
-                break
-            lo = hi
-        if found_m is not None:
-            # bisect the feasibility frontier in (lo, found_m]
-            while found_m - lo > 1:
-                mid = (lo + found_m) // 2
-                ok, params = feasible(mid)
-                if ok:
-                    found_m, found = mid, params
-                else:
-                    lo = mid
-    if found_m is None:
-        raise BudgetInfeasibleError(
-            "no bump index up to %d meets all budgets (last failure: %s)"
-            % (m_cap, last_failure), failed_constraint=last_failure)
+        if m >= m_cap:
+            raise BudgetInfeasibleError(
+                "no bump index up to %d meets all budgets (last failure: %s)"
+                % (m_cap, fail), failed_constraint=fail)
+        lo, m = m, min(max(2 * m, 1), m_cap)
+    while found.m - lo > 1:
+        fail, params = probe((lo + found.m) // 2)
+        if fail is None:
+            found = params
+        else:
+            lo = params.m
 
     return _finalize(found, p, eps, delta, r, m_cap)
 

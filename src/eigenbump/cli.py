@@ -227,9 +227,8 @@ def cmd_verify(args) -> int:
     if not ledger.entries:
         print("empty ledger: vacuously verified")
         return EXIT_OK
-    phi = ledger.phi if ledger.phi is not None else 0.0
     try:
-        pot = construct.step_potential(ledger.entries, ledger.domain, phi)
+        pot = construct.step_potential(ledger.entries, ledger.domain, ledger.phi)
     except EigenbumpError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -372,6 +371,8 @@ def _validate(args) -> str | None:
             return "dimension must be a positive integer"
         if not args.p > args.dim:
             return "the exponent must satisfy p > d (got p=%g, d=%d)" % (args.p, args.dim)
+        if args.m_cap < 0:
+            return "--m-cap must be >= 0, got %d" % args.m_cap
     if args.command == "bump":
         if not (args.lam > 0.0 and math.isfinite(args.lam)):
             return "the target energy must lie in (0, inf), got %g" % args.lam

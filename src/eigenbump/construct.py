@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
@@ -166,11 +166,12 @@ def budgets(n: int, total: float, gamma_prev: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # step potentials assembled from ledger entries
 
-def step_potential(entries, domain: str = "whole", phi: float = 0.0,
+def step_potential(entries, domain: str = "whole", phi: float | None = 0.0,
                    extra: tuple | None = None,
                    support_perturbation: complex = 0.0) -> eigensolve.StepPotential1D:
     """1-d step potential of the listed bumps (plus an optional extra
-    placement), with an optional constant added on the union of supports."""
+    placement), with an optional constant added on the union of supports.
+    A ``phi`` of None (a whole-line ledger's) means 0."""
     placed = [(e.t, e.bump.a, e.bump.c) for e in entries]
     if extra is not None:
         bp, t = extra
@@ -190,7 +191,7 @@ def step_potential(entries, domain: str = "whole", phi: float = 0.0,
         values.append(c + support_perturbation)
         prev_right = right
     return eigensolve.StepPotential1D(tuple(breakpoints), tuple(values),
-                                      boundary=domain, phi=phi)
+                                      boundary=domain, phi=phi or 0.0)
 
 
 def windowed_potential(ledger: ConstructionLedger, entry,
@@ -232,20 +233,19 @@ def choose_shift(ledger: ConstructionLedger, new_bump: BumpParams,
     """
     if ledger.d != 1:
         raise InvalidArgumentError("shift search is oracle-verified only for d=1")
-    phi = ledger.phi if ledger.phi is not None else 0.0
     rightmost = max((e.t + e.bump.a for e in ledger.entries), default=0.0)
     t_cand = rightmost + 2.0 * new_bump.a
     mu_ref = new_bump.mu
     deviations = []
     for _ in range(SHIFT_DOUBLING_CAP):
-        pot = step_potential(ledger.entries, ledger.domain, phi,
+        pot = step_potential(ledger.entries, ledger.domain, ledger.phi,
                              extra=(new_bump, t_cand))
         k_t, res_t = eigensolve._transfer_newton(pot, new_bump.k)
         mu_t = complex(k_t) ** 2
         dev = abs(mu_t - mu_ref)
         deviations.append(dev)
         if dev < r and complex(k_t).imag > 0.0:
-            pot2 = step_potential(ledger.entries, ledger.domain, phi,
+            pot2 = step_potential(ledger.entries, ledger.domain, ledger.phi,
                                   extra=(new_bump, 2.0 * t_cand))
             k_2t, _ = eigensolve._transfer_newton(pot2, new_bump.k)
             mu_2t = complex(k_2t) ** 2
@@ -292,8 +292,7 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     if ledger.d != 1 or not ledger.entries:
         return fallback("no 1-d entries to grid (d = %d)" % ledger.d)
 
-    phi = ledger.phi if ledger.phi is not None else 0.0
-    pot = step_potential(ledger.entries, ledger.domain, phi)
+    pot = step_potential(ledger.entries, ledger.domain, ledger.phi)
     try:
         x_lo, x_hi, n_pts = eigensolve.grid_layout(pot, mu_n)
     except GridResolutionError as exc:
@@ -388,13 +387,14 @@ def build(d: int, p: float, budget: float, steps: int, domain: str = "whole",
                 raise ConstructionError(
                     "step %d: mu=%r missed the capture ball around %s" % (n, mu_n, target.q))
 
-            est = estimate_gamma(_with_entry(ledger, n, target, eps_n, delta_n,
-                                             bp, t_n, mu_n, res_mu, k_mu),
-                                 mu_n, gamma_prev)
             entry = LedgerEntry(n=n, target=target, eps_n=eps_n, delta_n=delta_n,
                                 bump=bp, t=t_n, mu_n=mu_n, residual_mu=res_mu,
-                                rho_n=est.rho, gamma_n=est.gamma,
-                                gamma_warning=est.warning, _k_mu=k_mu)
+                                rho_n=0.0, gamma_n=0.0, gamma_warning=False,
+                                _k_mu=k_mu)
+            est = estimate_gamma(replace(ledger, entries=[*ledger.entries, entry]),
+                                 mu_n, gamma_prev)
+            entry.rho_n, entry.gamma_n = est.rho, est.gamma
+            entry.gamma_warning = est.warning
             ledger.entries.append(entry)
             gamma_prev = est.gamma
 
@@ -407,17 +407,6 @@ def build(d: int, p: float, budget: float, steps: int, domain: str = "whole",
         ledger.failure = str(exc)
         raise ConstructionError(str(exc), ledger=ledger, failed_at=failed_at) from exc
     return ledger
-
-
-def _with_entry(ledger, n, target, eps_n, delta_n, bp, t_n, mu_n, res_mu, k_mu):
-    probe = ConstructionLedger(d=ledger.d, p=ledger.p, budget=ledger.budget,
-                               domain=ledger.domain, phi=ledger.phi,
-                               entries=list(ledger.entries))
-    probe.entries.append(LedgerEntry(n=n, target=target, eps_n=eps_n,
-                                     delta_n=delta_n, bump=bp, t=t_n, mu_n=mu_n,
-                                     residual_mu=res_mu, rho_n=0.0, gamma_n=0.0,
-                                     gamma_warning=False, _k_mu=k_mu))
-    return probe
 
 
 def _verify_against_full(ledger: ConstructionLedger) -> None:
@@ -433,8 +422,7 @@ def _verify_against_full(ledger: ConstructionLedger) -> None:
             entry.lambda_within_rho = False
             entry.verified = False
         return
-    phi = ledger.phi if ledger.phi is not None else 0.0
-    pot = step_potential(ledger.entries, ledger.domain, phi)
+    pot = step_potential(ledger.entries, ledger.domain, ledger.phi)
     for entry in ledger.entries:
         seed = complex(entry._k_mu)
         k_lam, res_l = eigensolve._transfer_newton(pot, seed)

@@ -244,10 +244,9 @@ def test_criterion_7_stability_attack(desk_ledger, moderate_ledger):
                       "inside the rho_n disk"):
         start = time.monotonic()
         for ledger in (desk_ledger, moderate_ledger):
-            phi = ledger.phi if ledger.phi is not None else 0.0
             for entry in ledger.entries:
                 moved, anchor = _attack_entry(ledger.entries, entry,
-                                              ledger.domain, phi)
+                                              ledger.domain, ledger.phi)
                 rho = construct._dist_to_halfline(entry.mu_n) / 2.0
                 assert moved < rho, (entry.n, moved, rho)
                 assert anchor <= 16.0 * np.finfo(float).eps * abs(entry.mu_n) \

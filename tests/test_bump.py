@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from eigenbump import bump as bumpmod
-from eigenbump import eigensolve
+from eigenbump import construct, eigensolve
 from eigenbump.bump import (BumpParams, PlacedBump, boundary_wavenumber,
                             design_bump, eigenfunction_eval, norm_inf, norm_p,
                             potential_eval, radius_for_index, solve_eta)
@@ -106,6 +106,32 @@ class TestBoundaryWavenumber:
         assert rel_re[-1] < 0.1 and rel_im[-1] < 0.1
 
 
+def _step1_args(p, budget):
+    """design_bump arguments of step 1 (target 1 within 1/4) of a d = 1 build."""
+    eps, delta = construct.budgets(1, budget, math.inf)
+    return (1, p, 1.0, eps, delta, 0.25)
+
+
+FRONTIER_CASES = {
+    "grid-certify": _step1_args(3.0, 8.0),       # m = 3
+    "moderate": (1, 2.0, 1.0, 2.0, 2.0, 0.25),   # conftest moderate_bump, m = 3
+    "desk-whole": _step1_args(1.5, 1.0),         # m = 49,832
+}
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """Indices passed to bump._candidate while the test runs."""
+    seen = []
+    real = bumpmod._candidate
+
+    def counting(d, nu, lam, m):
+        seen.append(m)
+        return real(d, nu, lam, m)
+    monkeypatch.setattr(bumpmod, "_candidate", counting)
+    return seen
+
+
 class TestDesign:
     def test_d1_example_and_order_estimates(self):
         params = design_bump(1, 2.0, 1.0, 0.5, 0.5, 0.1)
@@ -138,6 +164,28 @@ class TestDesign:
         with pytest.raises(BudgetInfeasibleError) as err:
             design_bump(1, 2.0, 1.0, 0.5, 0.5, 0.1, m_cap=3)
         assert err.value.failed_constraint is not None
+
+    @pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+    def test_index_sits_on_frontier(self, case):
+        d, p, lam, eps, delta, r = FRONTIER_CASES[case]
+        params = design_bump(d, p, lam, eps, delta, r)
+        assert params.m >= 1
+        below = bumpmod._candidate(d, params.nu, lam, params.m - 1)
+        assert bumpmod._first_failure(below, p, eps, delta, r) is not None
+
+    def test_probe_count_logarithmic(self, probed):
+        params = design_bump(*FRONTIER_CASES["desk-whole"])
+        assert len(probed) <= 2 * params.m.bit_length() + 2
+
+    def test_zero_cap_probes_only_index_zero(self, probed):
+        with pytest.raises(BudgetInfeasibleError):
+            design_bump(1, 2.0, 1.0, 0.5, 0.5, 0.1, m_cap=0)
+        assert probed == [0]
+
+    def test_negative_cap_rejected(self, probed):
+        with pytest.raises(InvalidArgumentError):
+            design_bump(1, 2.0, 1.0, 0.5, 0.5, 0.1, m_cap=-1)
+        assert probed == []
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -62,6 +62,13 @@ class TestBumpCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_negative_cap_rejected(self, capsys):
+        code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
+                    "--eps", "0.5", "--delta", "0.5", "--r", "0.1",
+                    "--m-cap", "-1"])
+        assert code == 2
+        assert "--m-cap must be >= 0" in capsys.readouterr().err
+
 
 class TestConstructCommand:
     def test_zero_steps_empty_ledger(self, tmp_path, capsys):
@@ -72,6 +79,14 @@ class TestConstructCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["entries"] == [] and doc["failed_at"] is None
+
+    def test_negative_cap_rejected(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        code = run(["construct", "--dim", "1", "--p", "2", "--budget", "8",
+                    "--steps", "2", "--m-cap", "-1", "--out", str(out)])
+        assert code == 2
+        assert "--m-cap must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_robin_requires_phi(self, capsys):
         code = run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
