@@ -177,14 +177,18 @@ def cmd_bump(args) -> int:
 
 
 def _parse_targets(spec: str):
+    """Targets from 'q[:m],q[:m],...'; InvalidArgumentError names the
+    first malformed entry."""
     targets = []
     for part in spec.split(","):
-        part = part.strip()
-        if ":" in part:
-            q_str, m_str = part.split(":")
-            targets.append(Target(q=Fraction(q_str), m=int(m_str)))
-        else:
-            targets.append(Target(q=Fraction(part), m=1))
+        q_str, colon, m_str = part.strip().partition(":")
+        try:
+            targets.append(Target(q=Fraction(q_str),
+                                  m=int(m_str) if colon else 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidArgumentError(
+                "malformed --targets entry %r: expected q or q:m with q a "
+                "positive rational and m a positive integer" % part) from exc
     return targets
 
 
@@ -220,6 +224,10 @@ def cmd_verify(args) -> int:
         ledger, _ = load_ledger_file(args.ledger)
     except (InvalidArgumentError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    if ledger.failed_at is not None:
+        print("error: %s; only complete ledgers are verified"
+              % ledger.partial_note(), file=sys.stderr)
         return EXIT_VALIDATION
     if ledger.d != 1:
         print("error: only d=1 ledgers are oracle-verifiable", file=sys.stderr)
@@ -388,6 +396,11 @@ def _validate(args) -> str | None:
                 return "robin runs are oracle-verified only for dim 1"
         elif args.phi is not None:
             return "--phi only applies to the robin domain"
+        if args.targets is not None:
+            try:
+                _parse_targets(args.targets)
+            except InvalidArgumentError as exc:
+                return str(exc)
     return None
 
 

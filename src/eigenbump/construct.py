@@ -97,6 +97,12 @@ class ConstructionLedger:
     failed_at: int | None = None
     failure: str | None = None
 
+    def partial_note(self) -> str:
+        """'ledger is partial (failed at step n)', plus ': reason' when
+        the failure reason is known (ledger files do not store it)."""
+        note = "ledger is partial (failed at step %s)" % self.failed_at
+        return note + ": " + self.failure if self.failure else note
+
 
 # ---------------------------------------------------------------------------
 # enumeration of (positive rationals) x (precision indices)
@@ -280,6 +286,13 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     inside.  When no affordable grid resolves the problem, or the
     sigma_min iteration does not settle, the documented fallback
     min(gamma_prev, rho/10) is returned, flagged, with its reason logged.
+
+    The power iterations are warm-started, which changes their cost and
+    not their stop rule: on the coarse grid each circle point starts from
+    the singular vector of the point before it (point 0 from the ramp),
+    and on the fine grid each point starts from its own coarse vector,
+    prolonged.  Neighbouring shifts have close singular vectors, so each
+    iteration starts near its answer.
     """
     rho = _dist_to_halfline(mu_n) / 2.0
     if not rho > 0.0:
@@ -308,15 +321,24 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
 
     m_worst = 0.0
     per_grid = []
+    coarse_vectors = None
     for n_grid in (n_pts, 2 * n_pts + 1):
         m_here = 0.0
+        vectors = []
         for idx in range(GAMMA_CIRCLE_POINTS):
             z = mu_n + rho * cmath.exp(2j * math.pi * idx / GAMMA_CIRCLE_POINTS)
+            if coarse_vectors is not None:
+                start = coarse_vectors[idx]
+            else:
+                start = vectors[-1] if vectors else None
             try:
-                sigma = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi, n_grid)
+                sigma, vector = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi,
+                                                          n_grid, start=start)
             except NoConvergenceError as exc:
                 return fallback(exc)
+            vectors.append(vector)
             m_here = max(m_here, 1.0 / max(sigma, 1e-300))
+        coarse_vectors = vectors
         per_grid.append(m_here)
         m_worst = max(m_worst, m_here)
     if max(per_grid) > 3.0 * min(per_grid):

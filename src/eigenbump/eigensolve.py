@@ -408,6 +408,12 @@ def _cell_values(potential: StepPotential1D, xs: np.ndarray, h: float) -> np.nda
     return out
 
 
+def _has_ghost(potential: StepPotential1D) -> bool:
+    """Whether the FD grid carries a node at x_lo (a Robin ghost row)."""
+    return (potential.boundary == "robin"
+            and abs(potential.phi - math.pi / 2.0) >= 1e-14)
+
+
 def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     """Tridiagonal finite-difference form of H on [x_lo, x_hi].
 
@@ -415,11 +421,12 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     at both cut ends.  A Robin potential is gridded from x_lo = 0, and
     unless phi = pi/2 (Dirichlet) its condition
     cos(phi) f'(0) + sin(phi) f(0) = 0 enters through a ghost node
-    eliminated into the first row.  Returns (lower, main, upper, h).
+    eliminated into the first row.  The nodes are x_lo + j h, h =
+    (x_hi - x_lo)/(n + 1), for j = 1..n, or j = 0..n with the ghost node.
+    Returns (lower, main, upper, h).
     """
     h = (x_hi - x_lo) / (n + 1)
-    ghost = (potential.boundary == "robin"
-             and abs(potential.phi - math.pi / 2.0) >= 1e-14)
+    ghost = _has_ghost(potential)
     xs = x_lo + h * np.arange(0 if ghost else 1, n + 1)
     vals = _cell_values(potential, xs, h)
     main = 2.0 / h ** 2 + vals
@@ -429,6 +436,34 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
         main[0] = (2.0 - 2.0 * h * math.tan(potential.phi)) / h ** 2 + vals[0]
         upper[0] = -2.0 / h ** 2
     return lower, main, upper, h
+
+
+def _fd_grid_vector(potential: StepPotential1D, n: int,
+                    vector: np.ndarray) -> np.ndarray:
+    """A node vector for the FD grid of n intervals' layout (``_fd_operator``).
+
+    A vector with the grid's own node count is returned as is.  A vector on
+    the nested coarse grid ((n - 1)/2, whose h is twice as long, so its
+    nodes are every other fine node) is prolonged linearly: fine nodes
+    between two coarse ones take their mean, with the Dirichlet cuts read
+    as zero.  That maps n_c nodes to 2 n_c + 1, or n_c + 1 ghost-layout
+    nodes to 2 n_c + 2.  Any other length raises InvalidArgumentError.
+    """
+    ghost = int(_has_ghost(potential))
+    vector = np.asarray(vector, dtype=complex)
+    if len(vector) == n + ghost:
+        return vector
+    coarse = (n - 1) // 2 + ghost if n % 2 else None
+    if len(vector) != coarse:
+        raise InvalidArgumentError(
+            "start vector has %d nodes; this grid has %d, its nested coarse "
+            "grid %s" % (len(vector), n + ghost, coarse))
+    lead = () if ghost else (0.0,)
+    ext = np.concatenate((lead, vector, (0.0,)))
+    fine = np.empty(2 * len(ext) - 1, dtype=complex)
+    fine[::2] = ext
+    fine[1::2] = 0.5 * (ext[:-1] + ext[1:])
+    return fine[len(lead):-1]
 
 
 def _fd_lu(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
@@ -536,25 +571,42 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
 
 
 def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
-                   x_hi: float, n: int) -> float:
+                   x_hi: float, n: int, start=None) -> tuple[float, np.ndarray]:
     """Smallest singular value of the FD discretisation of (H - z) on the
-    truncated domain [x_lo, x_hi].
+    truncated domain [x_lo, x_hi], with its right singular vector.
 
     Power iteration on the inverse normal operator, reusing the one
     tridiagonal LU of H - z (``_fd_lu``) for both solves of every step;
-    1/sigma_min estimates the resolvent norm on the grid.  The start
-    vector is a ramp, which is neither even nor odd, so a mirror-symmetric
-    operator cannot hide its smallest singular vector from the iteration.
+    1/sigma_min estimates the resolvent norm on the grid.  Returns
+    (sigma, vector), the vector normalised on this grid's nodes.
+
+    The cold start vector is a ramp, which is neither even nor odd, so a
+    mirror-symmetric operator cannot hide its smallest singular vector
+    from the iteration.  A warm ``start`` (the vector of a nearby shift,
+    on this grid or on its nested coarse grid, see ``_fd_grid_vector``)
+    is normalised and 1e-2 times the unit ramp is added: the start may
+    have converged to one mirror class, and without the ramp term the
+    other class, which may hold the smallest singular vector at this z,
+    would stay out of reach.
+
     The growth never decreases; the iteration stops once it changes by at
     most SIGMA_TOL relative, and raises NoConvergenceError after
     SIGMA_ITER_CAP steps.  Raises LinAlgError when H - z is exactly
-    singular.
+    singular and InvalidArgumentError for a start of any other length.
     """
     import scipy.linalg.lapack
 
+    if start is not None:
+        start = _fd_grid_vector(potential, n, start)
+        scale = float(np.linalg.norm(start))
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise InvalidArgumentError("start vector must be finite and nonzero")
     factors = _fd_lu(potential, x_lo, x_hi, n, z)
     v = np.linspace(1.0, 2.0, len(factors[1])).astype(complex)
     v /= np.linalg.norm(v)
+    if start is not None:
+        v = start / scale + 1e-2 * v
+        v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(SIGMA_ITER_CAP):
         w, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C")
@@ -562,7 +614,7 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
         prev, growth = growth, float(np.linalg.norm(u))
         v = u / growth
         if growth - prev <= SIGMA_TOL * growth:
-            return 1.0 / math.sqrt(growth)
+            return 1.0 / math.sqrt(growth), v
     raise NoConvergenceError("sigma_min power iteration: growth still moving "
                              "after %d steps" % SIGMA_ITER_CAP)
 

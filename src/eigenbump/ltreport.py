@@ -31,8 +31,7 @@ class NormReport:
 
 def _require_verified(ledger: ConstructionLedger) -> None:
     if ledger.failed_at is not None:
-        raise LedgerError("ledger is partial (failed at step %s): %s"
-                          % (ledger.failed_at, ledger.failure))
+        raise LedgerError(ledger.partial_note())
     for entry in ledger.entries:
         if not entry.verified or entry.lambda_n is None:
             raise LedgerError(

@@ -24,6 +24,19 @@ def ledger_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def partial_ledger_file(tmp_path_factory):
+    # step 1 is feasible at index 3, step 2 needs a larger index: the run
+    # stops at step 2 and leaves entry 1 without a located lambda
+    path = tmp_path_factory.mktemp("ledgers") / "partial.json"
+    code = run(["construct", "--dim", "1", "--p", "3", "--budget", "8",
+                "--steps", "2", "--m-cap", "3", "--out", str(path)])
+    assert code == 3
+    doc = json.loads(path.read_text())
+    assert doc["failed_at"] == 2 and doc["entries"][0]["lambda"] is None
+    return str(path)
+
+
 class TestBumpCommand:
     def test_happy_path_prints_json(self, capsys):
         code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
@@ -123,6 +136,16 @@ class TestConstructCommand:
         doc = json.loads(out.read_text())
         assert [e["q"] for e in doc["entries"]] == [[1, 1], [3, 1]]
 
+    @pytest.mark.parametrize("spec", ["1:x", "1:2:3", "abc", "1:", "1/0"])
+    def test_malformed_targets_rejected(self, spec, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        code = run(["construct", "--dim", "1", "--p", "3", "--budget", "8",
+                    "--steps", "1", "--targets", spec, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "malformed --targets entry" in err
+        assert not out.exists()
+
     def test_partial_construction_exit_three(self, tmp_path, capsys):
         # an absurd index cap makes the first design infeasible; the partial
         # ledger must still land on disk with failed_at set
@@ -180,6 +203,12 @@ class TestVerifyCommand:
         assert code == 4
         assert "entry 2" in err
 
+    def test_partial_ledger_refused(self, partial_ledger_file, capsys):
+        code = run(["verify", "--ledger", partial_ledger_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ledger is partial (failed at step 2)" in err
+
     def test_missing_file(self, capsys):
         code = run(["verify", "--ledger", "/nonexistent/l.json"])
         assert code == 2
@@ -220,6 +249,15 @@ class TestReportCommand:
         for line in norms[1:]:
             fields = line.split(",")
             assert float(fields[-1]) > 0.0  # positive margin
+
+    def test_partial_ledger_refused_without_reason(self, partial_ledger_file,
+                                                   tmp_path, capsys):
+        # ledger files do not store the failure reason, so none is printed
+        code = run(["report", "--ledger", partial_ledger_file,
+                    "--out-dir", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: ledger is partial (failed at step 2)\n"
 
     def test_seventeen_digit_formatting(self, ledger_file, tmp_path, capsys):
         out_dir = tmp_path / "fmt"

@@ -219,6 +219,47 @@ class TestEstimateGamma:
         got = eigensolve.transfer_eigen_1d(pot, complex(target._k_mu))
         assert abs(got.mu - target.mu_n) < 1e-12
 
+    @staticmethod
+    def _sweep(ledger, monkeypatch, cold):
+        """estimate_gamma on the ledger's last entry, recording every
+        grid_sigma_min call; ``cold`` drops the warm starts."""
+        original = eigensolve.grid_sigma_min
+        calls = []
+
+        def spy(pot, z, x_lo, x_hi, n, start=None):
+            sigma, vec = original(pot, z, x_lo, x_hi, n,
+                                  start=None if cold else start)
+            calls.append((n, start, vec))
+            return sigma, vec
+        with monkeypatch.context() as patch:
+            patch.setattr(construct.eigensolve, "grid_sigma_min", spy)
+            return estimate_gamma(ledger, ledger.entries[-1].mu_n), calls
+
+    @pytest.mark.parametrize("case", ["generous-step-1", "grid-whole-129/128",
+                                      "grid-robin-phi-0"])
+    def test_warm_sweep_matches_cold(self, case, generous_ledger, monkeypatch):
+        if case == "generous-step-1":
+            ledger = replace(generous_ledger,
+                             entries=generous_ledger.entries[:1])
+        elif case == "grid-whole-129/128":
+            ledger = build(1, 3.0, 8.0, 1, targets=[Target(Fraction(129, 128), 1)])
+        else:
+            ledger = build(1, 3.0, 8.0, 1, domain="robin", phi=0.0)
+        warm, calls = self._sweep(ledger, monkeypatch, cold=False)
+        cold, _ = self._sweep(ledger, monkeypatch, cold=True)
+        assert not warm.warning and not cold.warning
+        assert warm.gamma == pytest.approx(cold.gamma, rel=1e-10)
+        # sweep order: the coarse grid walks the circle from the ramp,
+        # each point starting from the one before; the fine grid starts
+        # each point from its own coarse vector
+        points = construct.GAMMA_CIRCLE_POINTS
+        assert len(calls) == 2 * points
+        coarse, fine = calls[:points], calls[points:]
+        assert coarse[0][1] is None
+        assert all(now[1] is before[2] for before, now in zip(coarse, coarse[1:]))
+        assert all(f[1] is c[2] for c, f in zip(coarse, fine))
+        assert all(f[0] == 2 * coarse[0][0] + 1 for f in fine)
+
     def test_rejects_real_mu(self, generous_ledger):
         with pytest.raises(InvalidArgumentError):
             estimate_gamma(generous_ledger, complex(1.0, 0.0))

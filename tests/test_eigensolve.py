@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
-                                  count_zeros, grid_oracle_1d, grid_sigma_min,
+                                  _fd_grid_vector, count_zeros, grid_oracle_1d, grid_sigma_min,
                                   refine_eigen, secular_residual, step_matrix,
                                   transfer_eigen_1d)
 from eigenbump.errors import (ContourError, GridResolutionError,
@@ -315,9 +315,81 @@ class TestGridSigmaMin:
             x_lo = 0.0
             pot = StepPotential1D((left, right), (value,), boundary="robin", phi=phi)
         mat = dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi)
-        want = scipy.linalg.svdvals(mat - z * np.eye(len(mat))).min()
-        got = grid_sigma_min(pot, z, x_lo, x_hi, n)
+        shifted = mat - z * np.eye(len(mat))
+        want = scipy.linalg.svdvals(shifted).min()
+        got, vec = grid_sigma_min(pot, z, x_lo, x_hi, n)
         assert got == pytest.approx(want, rel=1e-10)
+        # the returned vector is the smallest right singular vector
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(shifted @ vec) == pytest.approx(want, rel=1e-6)
+
+    def test_even_start_still_finds_odd_vector(self):
+        # the mirror-symmetric case: an exactly even start, iterated
+        # without the ramp term, stalls at the even sigma 0.378 against
+        # the true (odd) 0.368
+        z, x_lo, x_hi, n = complex(2.0, 0.1), -3.0, 10.0, 400
+        value = complex(0.8, -0.3)
+        pot = StepPotential1D((2.0, 5.0), (value,))
+        mat = dense_fd_matrix(2.0, 5.0, value, x_lo, x_hi, n)
+        want = scipy.linalg.svdvals(mat - z * np.eye(n)).min()
+        got, _ = grid_sigma_min(pot, z, x_lo, x_hi, n, start=np.ones(n))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("phi", [None, 0.0])
+    def test_coarse_start_matches_dense_svd(self, phi):
+        # a start on the nested coarse grid, prolonged to the fine one
+        z, x_hi, n_c = complex(1.0, -0.2), 10.0, 200
+        x_lo = -3.0 if phi is None else 0.0
+        value = complex(0.8, -0.3)
+        kind = {} if phi is None else {"boundary": "robin", "phi": phi}
+        pot = StepPotential1D((2.0, 5.0), (value,), **kind)
+        _, coarse = grid_sigma_min(pot, z, x_lo, x_hi, n_c)
+        mat = dense_fd_matrix(2.0, 5.0, value, x_lo, x_hi, 2 * n_c + 1, phi)
+        want = scipy.linalg.svdvals(mat - z * np.eye(len(mat))).min()
+        got, vec = grid_sigma_min(pot, z, x_lo, x_hi, 2 * n_c + 1, start=coarse)
+        assert len(vec) == len(mat)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("phi", [None, 0.0])
+    def test_prolongation_exact_on_piecewise_linear(self, phi):
+        # coarse nodes are every other fine node and the Dirichlet cuts
+        # count as zeros, so a vector that is linear between coarse nodes
+        # and vanishes at the cuts is reproduced exactly: a tent peaked at
+        # a coarse node on the plain layout, a line falling to the right
+        # cut on the ghost layout (whose node at x_lo is a real node)
+        x_lo, x_hi, n_c = 0.0, 12.0, 5
+        kind = {} if phi is None else {"boundary": "robin", "phi": phi}
+        pot = StepPotential1D((2.0, 5.0), (0.5,), **kind)
+        first = 1 if phi is None else 0
+
+        def nodes(n):
+            h = (x_hi - x_lo) / (n + 1)
+            return x_lo + h * np.arange(first, n + 1)
+
+        def shape(x):
+            if phi is None:
+                return np.minimum(x - x_lo, x_hi - x)
+            return x_hi - x
+
+        fine = _fd_grid_vector(pot, 2 * n_c + 1, shape(nodes(n_c)))
+        assert len(fine) == 2 * n_c + 1 + (1 - first)
+        np.testing.assert_allclose(fine, shape(nodes(2 * n_c + 1)),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n,length", [(9, 8), (9, 5), (9, 3), (10, 4)])
+    def test_wrong_start_length_raises(self, n, length):
+        # a 9-interval grid takes 9 nodes or its coarse grid's 4; an even
+        # n has no nested coarse grid
+        pot = StepPotential1D((2.0, 5.0), (0.5,))
+        with pytest.raises(InvalidArgumentError):
+            grid_sigma_min(pot, complex(1.0, -0.2), 0.0, 12.0, n,
+                           start=np.ones(length))
+
+    def test_zero_start_raises(self):
+        pot = StepPotential1D((2.0, 5.0), (0.5,))
+        with pytest.raises(InvalidArgumentError):
+            grid_sigma_min(pot, complex(1.0, -0.2), 0.0, 12.0, 9,
+                           start=np.zeros(9))
 
     def test_singular_shift_raises(self):
         # h = 1 and a zero potential: H - 2 = tridiag(-1, 0, -1) on three

@@ -51,6 +51,15 @@ class TestPartialSums:
         with pytest.raises(LedgerError):
             ltreport.lt_partial_sum(partial)
 
+    def test_partial_note_names_reason_only_when_known(self):
+        partial = ConstructionLedger(d=1, p=3.0, budget=8.0, failed_at=2,
+                                     failure="injected")
+        with pytest.raises(LedgerError, match=r"step 2\): injected$"):
+            ltreport.lt_partial_sum(partial)
+        partial.failure = None
+        with pytest.raises(LedgerError, match=r"step 2\)$"):
+            ltreport.lt_partial_sum(partial)
+
 
 class TestNormBudget:
     def test_margins_positive(self, ledger):
