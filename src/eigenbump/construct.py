@@ -17,7 +17,12 @@ re-located against the full potential and the capture contract
 |lambda_n - q_n| < 1/m_n, Im lambda_n < 0 is asserted.
 
 Everything is deterministic: the enumeration is a fixed bijection, the
-searches are bracketed scans, and the oracles use fixed start vectors.
+bump index comes from one galloping search and the shift from a doubling
+search, the grid oracle starts from a fixed vector, and the resolvent
+sweep starts from a fixed ramp and warm-starts every later power
+iteration from a vector computed earlier in the same sweep (the previous
+circle point's on the coarse grid, the point's own coarse one on the
+fine grid).
 """
 
 from __future__ import annotations

@@ -13,13 +13,17 @@ Evaluation strategy in double precision:
 Beyond ``|z| ~ 3e4`` the rounding of an argument formed in double
 precision (z = tau * a) moves its phase by more than the accuracy this
 library promises, so such arguments are delegated to arbitrary-precision
-arithmetic with the working precision scaled to the phase.  That rule is the package's one precision lane
-(``lane``): every solver whose phase can pass 3e4 picks its arithmetic
-through it.  Ratios J_{n-1}(z)/J_n(z) are the quotient of the two
-evaluations, except for half-integer orders in the mpmath lane, where the
-ratio is elementary (cot z for n = 1/2, carried to other half-integers by
-the three-term recurrence); near a zero of the denominator the ratio
-raises PoleError instead.
+arithmetic with the working precision scaled to the phase.  That rule is
+the package's one precision lane (``lane``): every solver whose phase can
+pass 3e4 picks its arithmetic through it.  In the mpmath lane J_n is
+Hankel's expansion again, summed until its remainder bound falls below the
+working precision (``_hankel_pq``).  Ratios J_{n-1}(z)/J_n(z) are the
+quotient of the two evaluations, except in the mpmath lane: half-integer
+orders are elementary there (cot z for n = 1/2, carried to other
+half-integers by the three-term recurrence), and other orders take the
+quotient of the two Hankel forms, whose common factor sqrt(2/(pi z))
+cancels.  Near a zero of the denominator the ratio raises PoleError
+instead.
 """
 
 from __future__ import annotations
@@ -158,6 +162,13 @@ def bessel_j(query: BesselQuery) -> complex:
 
 
 def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
+    """J_order(z) to a relative tolerance ``target``.
+
+    In the double-precision lane the branch is chosen by |z| as the module
+    docstring describes.  In the mpmath lane it is Hankel's expansion at
+    the lane's precision (34 digits or more) for every order (``_jv_mp``),
+    and ``target`` is not consulted.
+    """
     if not (math.isfinite(order) and _is_finite_c(z)):
         raise InvalidArgumentError("bessel_j requires finite order and argument")
 
@@ -177,7 +188,7 @@ def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
 
     with lane(az) as ops:
         if ops.mp:
-            return complex(mpmath.besselj(order, mpmath.mpc(z)))
+            return complex(_jv_mp(order, mpmath.mpc(z)))
     if az <= SERIES_MAX:
         return _jv_series(order, z, target)
     if z.real < 0.0:
@@ -280,6 +291,72 @@ def _jv_hankel(order: float, z: complex, target: float) -> complex:
     return cmath.sqrt(2.0 / (math.pi * z)) * comb
 
 
+def _jv_mp(order: float, z) -> "mpmath.mpc":
+    """J_order(z) by Hankel's expansion at the current mpmath precision.
+
+    Re z < 0 is rotated into the right half-plane as in the native lane:
+    J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z).
+    """
+    if z.real < 0:
+        return mpmath.expjpi(order if z.imag >= 0 else -order) * _jv_mp(order, -z)
+    cos_chi, sin_chi = _chi_cos_sin(order, z)
+    p, q = _hankel_pq(order, z)
+    return mpmath.sqrt(2 / (mpmath.pi * z)) * (p * cos_chi - q * sin_chi)
+
+
+def _chi_cos_sin(order: float, z):
+    """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi,
+    rotated from one cos z, sin z pair as in ``_jv_hankel``."""
+    rot = mpmath.expjpi(0.5 * order + 0.25)  # cos theta + i sin theta
+    cos_z, sin_z = mpmath.cos(z), mpmath.sin(z)
+    return (cos_z * rot.real + sin_z * rot.imag,
+            sin_z * rot.real - cos_z * rot.imag)
+
+
+def _hankel_pq(order: float, z):
+    """P_order(z) and Q_order(z) of Hankel's expansion (DLMF 10.17.3) at
+    the current mpmath precision, for Re z >= 0:
+    J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi).
+
+    The sums stop before the first index l >= |order| - 1/2 at which the
+    DLMF 10.17(iv) remainder bound
+    2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
+    falls below 2^-(prec + 10); X(l) = sqrt(pi) Gamma(l/2 + 1) /
+    Gamma(l/2 + 1/2) is DLMF's chi(l) (10.17.16), and with it the bound
+    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).
+    Half-integer orders terminate exactly.  Raises AccuracyError when |z|
+    is too small for the precision, i.e. the terms start to grow first.
+    """
+    az = abs(complex(z))
+    mu = 4 * mpmath.mpf(order) ** 2
+    mu_f = float(mu)
+    tol = 2.0 ** -(mpmath.mp.prec + 10)
+    front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
+    w = 1 / (8 * z)
+    term = mpmath.mpc(1)
+    p, q = mpmath.mpc(1), mpmath.mpc(0)
+    size = 1.0  # |a_k(order)| / |z|^k
+    k = 0
+    while True:
+        k += 1
+        step = abs(mu_f - (2 * k - 1) ** 2) / (8.0 * k * az)
+        size *= step
+        x_k = math.sqrt(math.pi) * math.exp(
+            math.lgamma(0.5 * k + 1.0) - math.lgamma(0.5 * k + 0.5))
+        bound = front * x_k * size
+        if k >= abs(order) - 0.5 and bound < tol:
+            return p, q
+        if step >= 1.0 and k > abs(order) + 0.5:
+            raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
+                                % (mpmath.mp.prec, az), achieved=bound)
+        term = term * w * (mu - (2 * k - 1) ** 2) / k
+        signed = -term if (k // 2) % 2 else term
+        if k % 2:
+            q += signed
+        else:
+            p += signed
+
+
 def _miller_ladder(order: float, z: complex, m_start: int):
     """One backward-recurrence pass; returns the normalised J_order.
 
@@ -379,8 +456,11 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
     J_{1/2} are cos z and sin z times a common factor, and the three-term
     recurrence J_{n-1} + J_{n+1} = (2n/z) J_n carries that pair down or up
     to (J_{order-1}, J_order).  Upward is stable because this lane has
-    |z| > NATIVE_MAX, far above the order.  Other orders are the quotient
-    of the two ``besselj`` evaluations.
+    |z| > NATIVE_MAX, far above the order.  Other orders (the integer ones
+    of every even dimension) are the quotient of the two Hankel forms
+    (``_hankel_pq``): chi_{order-1} = chi_order + pi/2, so both share one
+    rotated (cos chi, sin chi) and the factor sqrt(2/(pi z)) cancels.
+    Re z < 0 is reflected through ratio(-z) = -ratio(z).
     """
     if order % 1.0 == 0.5:
         # (J_{n-1}, J_n) up to a common factor, starting at n = 1/2
@@ -392,7 +472,13 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
         if cur == 0:
             raise PoleError("J_%g vanishes at z=%s" % (order, z), distance=0.0)
         return prev / cur
-    denom = mpmath.besselj(order, z)
+    sign = 1
+    if z.real < 0:
+        z, sign = -z, -1
+    cos_chi, sin_chi = _chi_cos_sin(order, z)
+    p, q = _hankel_pq(order, z)
+    denom = p * cos_chi - q * sin_chi
     if denom == 0:
-        raise PoleError("J_%g vanishes at z=%s" % (order, z), distance=0.0)
-    return mpmath.besselj(order - 1.0, z) / denom
+        raise PoleError("J_%g vanishes at z=%s" % (order, sign * z), distance=0.0)
+    p_prev, q_prev = _hankel_pq(order - 1.0, z)
+    return -sign * (p_prev * sin_chi + q_prev * cos_chi) / denom

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from eigenbump import specfun
-from eigenbump.bump import radius_for_index, solve_eta
-from eigenbump.construct import enumerate_targets
+from eigenbump.bump import eigenfunction_eval, radius_for_index, solve_eta
+from eigenbump.construct import build, enumerate_targets
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
 
@@ -151,11 +151,18 @@ class TestRatio:
             got = specfun.bessel_ratio_mp(order, z)
             assert abs(got - want) <= 1e-30 * abs(want)
 
-    def test_mp_integer_order_is_besselj_pair(self):
-        with specfun.lane(1e10):
-            z = mpmath.mpc(1e10, 12.5)
-            want = mpmath.besselj(-1.0, z) / mpmath.besselj(0.0, z)
-            assert specfun.bessel_ratio_mp(0.0, z) == want
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("re,im", [(r, im) for r in (3.1e4, 1e6, 1e10, 1e17)
+                                       for im in (12.5, 0.5)] + [(-1e6, 12.5)])
+    def test_mp_integer_order_matches_besselj(self, order, re, im):
+        # Hankel's expansion against the besselj pair at the lane's
+        # precision, for the orders of d = 2, 4 and 6
+        with specfun.lane(abs(re)) as ops:
+            assert ops.mp
+            z = mpmath.mpc(re, im)
+            want = mpmath.besselj(order - 1.0, z) / mpmath.besselj(order, z)
+            got = specfun.bessel_ratio_mp(order, z)
+            assert abs(got - want) <= 1e-30 * abs(want)
 
     def test_pole_detected(self):
         # first zero of J_0
@@ -234,10 +241,12 @@ class TestInvariants:
 
 
 class TestBigArguments:
-    def test_matches_mpmath_beyond_native(self):
-        for z in (5e4 + 3j, 1e6 + 10j, 3e8 + 1j, complex(1e12, 5.0)):
-            got = bessel_j(BesselQuery(-0.5, z))
-            want = mp_j(-0.5, z)
+    @pytest.mark.parametrize("order", [-1.0, -0.5, 0.0, 1.0, 1.5])
+    def test_matches_mpmath_beyond_native(self, order):
+        for z in (5e4 + 3j, 1e6 + 10j, 3e8 + 1j, complex(1e12, 5.0),
+                  complex(-7e5, 4.0)):
+            got = bessel_j(BesselQuery(order, z))
+            want = mp_j(order, z)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ratio_beyond_native(self):
@@ -253,11 +262,41 @@ class TestConcurrency:
         # both lanes from several threads and require bitwise agreement
         from concurrent.futures import ThreadPoolExecutor
         jobs = [(0.5, complex(2e5, 8.0)), (-0.5, complex(1.0, 0.2)),
-                (1.5, complex(9e4, 2.0)), (0.0, complex(25.0, 3.0))] * 8
+                (1.5, complex(9e4, 2.0)), (0.0, complex(25.0, 3.0)),
+                (0.0, complex(2e5, 8.0))] * 8
         expected = [bessel_j(BesselQuery(o, z)) for o, z in jobs]
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda j: bessel_j(BesselQuery(*j)), jobs))
         assert got == expected
+
+
+class TestNoBesselj:
+    """No package path reaches mpmath.besselj; it is a test-only reference."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_besselj(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.besselj called from the package")
+        monkeypatch.setattr(mpmath, "besselj", refuse)
+
+    def test_d2_build(self):
+        ledger = build(2, 3.0, 1.0, 2)
+        assert len(ledger.entries) == 2
+
+    def test_d4_build(self):
+        ledger = build(4, 5.0, 1.0, 2)
+        assert len(ledger.entries) == 2
+
+    @pytest.fixture(scope="class")
+    def desk_d2_bump(self):
+        # class scope: built before the function-scoped guard is in place
+        return build(2, 3.0, 1.0, 1).entries[0].bump
+
+    def test_d2_desk_eigenfunction(self, desk_d2_bump):
+        a = desk_d2_bump.a
+        assert abs(desk_d2_bump.tau) * a > specfun.NATIVE_MAX
+        value = eigenfunction_eval(desk_d2_bump, 0.0, [0.0, a * (1.0 - 1e-9)])
+        assert cmath.isfinite(value)
 
 
 class TestErrors:
@@ -276,6 +315,14 @@ class TestErrors:
     def test_negative_noninteger_order_at_origin(self):
         with pytest.raises(InvalidArgumentError):
             bessel_j(BesselQuery(-0.5, 0.0))
+
+    def test_mp_hankel_refuses_small_argument(self):
+        # at |z| ~ 5 the expansion's smallest term is ~e^{-10}, far above
+        # 34 digits: the sum must fail instead of returning it
+        with mpmath.workdps(34):
+            with pytest.raises(AccuracyError) as err:
+                specfun._hankel_pq(0.0, mpmath.mpc(5.0, 1.0))
+        assert err.value.achieved > 1e-34
 
     def test_accuracy_error_carries_estimate(self):
         # an impossible target in the Miller band must fail loudly
