@@ -92,11 +92,18 @@ def ledger_to_doc(ledger: ConstructionLedger, steps: int, created: str) -> dict:
 
 
 def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
+    """The ledger and its metadata; InvalidArgumentError for a document
+    that is not a well-formed ledger of version LEDGER_VERSION."""
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != LEDGER_VERSION:
+        raise InvalidArgumentError("unsupported ledger version %r (expected %d)"
+                                   % (version, LEDGER_VERSION))
     try:
         cfg = doc["config"]
+        phi = None if cfg["phi"] is None else float(cfg["phi"])
         ledger = ConstructionLedger(d=int(cfg["dim"]), p=float(cfg["p"]),
                                     budget=float(cfg["budget"]),
-                                    domain=cfg["domain"], phi=cfg["phi"],
+                                    domain=cfg["domain"], phi=phi,
                                     failed_at=doc.get("failed_at"))
         for rec in doc["entries"]:
             b = rec["bump"]
@@ -125,7 +132,7 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
         meta = {"version": doc["version"], "created": doc["created"],
                 "steps": int(cfg["steps"])}
         return ledger, meta
-    except (KeyError, TypeError, IndexError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidArgumentError("ledger schema mismatch: %s" % exc) from exc
 
 
@@ -134,8 +141,13 @@ def dump_ledger(doc: dict) -> str:
 
 
 def load_ledger_file(path: str) -> tuple[ConstructionLedger, dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    """``doc_to_ledger`` of a JSON file; every way the file can fail to be
+    a ledger is an InvalidArgumentError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InvalidArgumentError("cannot read ledger %s: %s" % (path, exc)) from exc
     return doc_to_ledger(doc)
 
 
@@ -217,14 +229,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not os.path.exists(args.ledger):
-        print("error: no such ledger file: %s" % args.ledger, file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        ledger, _ = load_ledger_file(args.ledger)
-    except (InvalidArgumentError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
+    ledger, _ = load_ledger_file(args.ledger)
     if ledger.failed_at is not None:
         print("error: %s; only complete ledgers are verified"
               % ledger.partial_note(), file=sys.stderr)
@@ -278,15 +283,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.ledger):
-        print("error: no such ledger file: %s" % args.ledger, file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        ledger, _ = load_ledger_file(args.ledger)
-        rows = ltreport.emit_cloud(ledger)
-    except EigenbumpError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
+    ledger, _ = load_ledger_file(args.ledger)
+    rows = ltreport.emit_cloud(ledger)
     os.makedirs(args.out_dir, exist_ok=True)
 
     cloud_path = os.path.join(args.out_dir, "eigencloud.csv")

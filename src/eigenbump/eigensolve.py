@@ -154,7 +154,7 @@ def secular_residual(problem: SecularProblem, k: complex) -> complex:
         return complex(f_val)
 
 
-def _newton(f_eval, k0, ops, steep_scale: float, tol_f: float = SECULAR_TOL,
+def _newton(f_eval, k0, steep_scale: float, tol_f: float = SECULAR_TOL,
             tol_dk: float = STEP_TOL, cap: int = NEWTON_CAP):
     """Damped-free Newton with numerically differenced derivative.
 
@@ -169,10 +169,10 @@ def _newton(f_eval, k0, ops, steep_scale: float, tol_f: float = SECULAR_TOL,
         try:
             f_k = f_eval(k)
             af = abs(f_k)
-            trace.append((ops.to_c(k), float(af)))
-            if af <= tol_f and dk_last <= tol_dk * (1.0 + abs(ops.to_c(k))):
+            trace.append((complex(k), float(af)))
+            if af <= tol_f and dk_last <= tol_dk * (1.0 + abs(complex(k))):
                 return k, float(af), trace
-            h = (1.0 + abs(ops.to_c(k))) * min(1e-6, 0.3 / max(1.0, steep_scale))
+            h = (1.0 + abs(complex(k))) * min(1e-6, 0.3 / max(1.0, steep_scale))
             deriv = (f_eval(k + h) - f_eval(k - h)) / (2.0 * h)
         except (OverflowError, ZeroDivisionError, AccuracyError, PoleError) as exc:
             raise NoConvergenceError("iteration left the evaluable region: %s"
@@ -181,8 +181,8 @@ def _newton(f_eval, k0, ops, steep_scale: float, tol_f: float = SECULAR_TOL,
             raise NoConvergenceError("zero numerical derivative", trace=trace)
         step = -f_k / deriv
         k = k + step
-        dk_last = abs(ops.to_c(step))
-        if not math.isfinite(abs(ops.to_c(k))):
+        dk_last = abs(complex(step))
+        if not math.isfinite(abs(complex(k))):
             raise NoConvergenceError("iterate diverged", trace=trace)
     raise NoConvergenceError("newton cap %d exceeded" % cap, trace=trace)
 
@@ -195,7 +195,7 @@ def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
     root carries no decaying eigenfunction.
     """
     k_seed = complex(k_seed)
-    if not _finite_c(k_seed) or not math.isfinite(abs(secular_residual(problem, k_seed))):
+    if not cmath.isfinite(k_seed) or not math.isfinite(abs(secular_residual(problem, k_seed))):
         raise InvalidArgumentError("seed must give a finite residual")
     k_root, residual = polish_root_mp(problem, k_seed)
     k = complex(k_root)
@@ -220,7 +220,7 @@ def polish_root_mp(problem: SecularProblem, k_seed: complex):
             state["ref"] = tau
             return f_val
 
-        k, residual, _ = _newton(f_eval, ops.lift(k0), ops, steep_scale=scale)
+        k, residual, _ = _newton(f_eval, ops.lift(k0), steep_scale=scale)
         return k, residual
 
 
@@ -256,7 +256,7 @@ def count_zeros(problem: SecularProblem, rect) -> int:
         ref = ops.lift(problem.branch_ref)
         for z in pts:
             f_val, ref = _secular_eval(problem, ops.lift(z), ref, ops)
-            nodes.append([z, ops.to_c(f_val), ref])
+            nodes.append([z, complex(f_val), ref])
 
         # adaptive refinement: split any segment whose phase jump is >= pi/2
         guard = 0
@@ -274,7 +274,7 @@ def count_zeros(problem: SecularProblem, rect) -> int:
                                    "a zero may sit on the box; inflate it")
             z_mid = 0.5 * (nodes[i][0] + nodes[i + 1][0])
             f_mid, ref_mid = _secular_eval(problem, ops.lift(z_mid), nodes[i][2], ops)
-            nodes.insert(i + 1, [z_mid, ops.to_c(f_mid), ref_mid])
+            nodes.insert(i + 1, [z_mid, complex(f_mid), ref_mid])
 
         mags = sorted(abs(n[1]) for n in nodes)
         if mags[0] < 1e-9 * mags[len(mags) // 2]:
@@ -376,7 +376,7 @@ def _transfer_newton(potential: StepPotential1D, k_seed: complex):
             state["refs"] = new_refs
             return s_val
 
-        k, residual, _ = _newton(f_eval, ops.lift(k_seed), ops, steep_scale=scale)
+        k, residual, _ = _newton(f_eval, ops.lift(k_seed), steep_scale=scale)
         return k, residual
 
 
@@ -617,7 +617,3 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
             return 1.0 / math.sqrt(growth), v
     raise NoConvergenceError("sigma_min power iteration: growth still moving "
                              "after %d steps" % SIGMA_ITER_CAP)
-
-
-def _finite_c(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)

@@ -1,29 +1,31 @@
 """Bessel functions J_n of the first kind, real order, complex argument.
 
-Evaluation strategy in double precision:
+Evaluation strategy, chosen by |z| after Re z < 0 is rotated into the
+right half-plane:
 
   * ``|z| <= 12``      ascending power series, accumulated in extended
                        (80-bit) precision to absorb the alternating-series
                        cancellation,
   * ``12 < |z| < 30``  backward (Miller) recurrence normalised by a
                        ladder sum,
-  * ``|z| >= 30``      Hankel's large-argument expansion truncated at its
-                       smallest term.
+  * ``|z| >= 30``      Hankel's large-argument expansion (``_hankel_pq``),
+                       summed until its DLMF 10.17(iv) remainder bound falls
+                       below the working precision.
 
 Beyond ``|z| ~ 3e4`` the rounding of an argument formed in double
 precision (z = tau * a) moves its phase by more than the accuracy this
 library promises, so such arguments are delegated to arbitrary-precision
 arithmetic with the working precision scaled to the phase.  That rule is
 the package's one precision lane (``lane``): every solver whose phase can
-pass 3e4 picks its arithmetic through it.  In the mpmath lane J_n is
-Hankel's expansion again, summed until its remainder bound falls below the
-working precision (``_hankel_pq``).  Ratios J_{n-1}(z)/J_n(z) are the
-quotient of the two evaluations, except in the mpmath lane: half-integer
-orders are elementary there (cot z for n = 1/2, carried to other
-half-integers by the three-term recurrence), and other orders take the
-quotient of the two Hankel forms, whose common factor sqrt(2/(pi z))
-cancels.  Near a zero of the denominator the ratio raises PoleError
-instead.
+pass 3e4 picks its arithmetic through it.  Hankel's expansion is one sum
+for both lanes: it runs in the arithmetic of its argument, double for a
+complex and the lane's precision for an mpmath number.  Ratios
+J_{n-1}(z)/J_n(z) are the quotient of the two evaluations, except in the
+mpmath lane: half-integer orders are elementary there (cot z for n = 1/2,
+carried to other half-integers by the three-term recurrence), and other
+orders take the quotient of the two Hankel forms, whose common factor
+sqrt(2/(pi z)) cancels.  Near a zero of the denominator the ratio raises
+PoleError instead.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class _Native:
     mp = False
     sqrt = staticmethod(cmath.sqrt)
     exp = staticmethod(cmath.exp)
-    to_c = staticmethod(complex)
     lift = staticmethod(complex)
 
     @staticmethod
@@ -83,7 +84,6 @@ class _MP:
     mp = True
     sqrt = staticmethod(mpmath.sqrt)
     exp = staticmethod(mpmath.exp)
-    to_c = staticmethod(complex)
     lift = staticmethod(mpmath.mpc)
 
     @staticmethod
@@ -99,8 +99,8 @@ def lane(scale: float):
     yields the mpmath ops, holding MP_LOCK with the working precision at
     30 + log10(scale) digits, so that the eps*scale phase error of
     argument reduction stays far below every tolerance.  Both carry
-    ``sqrt``, ``exp``, ``lift`` (into the lane), ``to_c`` (back to a
-    complex), ``bessel_ratio`` and the flag ``mp``.
+    ``sqrt``, ``exp``, ``lift`` (into the lane), ``bessel_ratio`` and the
+    flag ``mp``; ``complex`` takes a lane number back to double.
     """
     if scale <= NATIVE_MAX:
         yield _Native
@@ -121,13 +121,8 @@ class BesselQuery:
         if not (self.accuracy_target > 0.0 and self.accuracy_target <= 1e-6):
             raise InvalidArgumentError(
                 "accuracy_target must lie in (0, 1e-6], got %r" % (self.accuracy_target,))
-        if not (math.isfinite(self.order) and _is_finite_c(self.argument)):
+        if not (math.isfinite(self.order) and cmath.isfinite(self.argument)):
             raise InvalidArgumentError("order and argument must be finite")
-
-
-def _is_finite_c(z) -> bool:
-    z = complex(z)
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def gamma_real(x: float) -> float:
@@ -155,8 +150,7 @@ def bessel_j(query: BesselQuery) -> complex:
 
     Raises AccuracyError (carrying the achieved estimate) if the active
     expansion cannot reach the target, InvalidArgumentError on non-finite
-    input or an argument outside the principal sector in the asymptotic
-    regime.
+    input.
     """
     return _jv(query.order, complex(query.argument), query.accuracy_target)
 
@@ -164,12 +158,12 @@ def bessel_j(query: BesselQuery) -> complex:
 def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
     """J_order(z) to a relative tolerance ``target``.
 
-    In the double-precision lane the branch is chosen by |z| as the module
-    docstring describes.  In the mpmath lane it is Hankel's expansion at
-    the lane's precision (34 digits or more) for every order (``_jv_mp``),
-    and ``target`` is not consulted.
+    The branch is chosen by |z| as the module docstring describes; Re z < 0
+    is first rotated into the right half-plane, where the large-argument
+    expansion keeps full accuracy.  In the mpmath lane ``target`` is not
+    consulted.
     """
-    if not (math.isfinite(order) and _is_finite_c(z)):
+    if not (math.isfinite(order) and cmath.isfinite(z)):
         raise InvalidArgumentError("bessel_j requires finite order and argument")
 
     # negative integer order: J_{-m} = (-1)^m J_m
@@ -186,20 +180,16 @@ def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
         raise InvalidArgumentError(
             "J_n(0) diverges for negative non-integer order %r" % (order,))
 
-    with lane(az) as ops:
-        if ops.mp:
-            return complex(_jv_mp(order, mpmath.mpc(z)))
     if az <= SERIES_MAX:
         return _jv_series(order, z, target)
     if z.real < 0.0:
-        # rotate into the right half-plane, where the large-argument
-        # machinery keeps full accuracy: J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
-        w = -z
+        # J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
         phase = cmath.exp(1j * math.pi * order) if z.imag >= 0.0 \
             else cmath.exp(-1j * math.pi * order)
-        return phase * _jv(order, w, target)
+        return phase * _jv(order, -z, target)
     if az >= ASYMPT_MIN:
-        return _jv_hankel(order, z, target)
+        with lane(az) as ops:
+            return complex(_jv_hankel(order, ops.lift(z), target))
     return _jv_miller(order, z, target)
 
 
@@ -240,101 +230,70 @@ def _jv_series(order: float, z: complex, target: float) -> complex:
     return complex(total) * front
 
 
-def _jv_hankel(order: float, z: complex, target: float) -> complex:
-    """Large-argument expansion J_n = sqrt(2/(pi z)) (P cos chi - Q sin chi),
-    chi = z - (2n+1) pi/4, truncated at the smallest term.
+def _jv_hankel(order: float, z, target: float):
+    """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
+    pi/4, for Re z >= 0, in the arithmetic of z (``_hankel_pq``).
 
-    Terminates exactly for half-integer order.  The relative truncation
-    error at optimal cut is ~ exp(-2|z|), far below double rounding for
-    |z| >= 30 and the small orders used here.
+    A complex z is summed in double precision, which limits the result to
+    its rounding floor 4e-16 and the double range; an mpmath z at the
+    current precision, and ``target`` is not consulted.
     """
-    if abs(cmath.phase(z)) >= math.pi - 1e-9:
-        raise InvalidArgumentError(
-            "asymptotic evaluation requires |arg z| < pi, got z=%r" % (z,))
-    if abs(z.imag) > 700.0:
-        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                            achieved=math.inf)
-    mu = 4.0 * order * order
-    # cos/sin of chi = z - theta by rotating cos z, sin z through theta:
-    # the rounded difference z - theta would carry a phase error eps*|z|
-    theta = (0.5 * order + 0.25) * math.pi
-    cos_z, sin_z = cmath.cos(z), cmath.sin(z)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    cos_chi = cos_z * cos_t + sin_z * sin_t
-    sin_chi = sin_z * cos_t - cos_z * sin_t
-    u = 1.0 + 0.0j
-    p_sum = 1.0 + 0.0j
-    q_sum = 0.0 + 0.0j
-    min_term = 1.0
-    for k in range(1, 80):
-        u = u * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-        au = abs(u)
-        if au >= min_term and k > 4:
-            break  # series started diverging; stop at previous (smallest) term
-        min_term = min(min_term, au)
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 0:
-            p_sum += sign * u
-        else:
-            q_sum += sign * u
-        if au == 0.0:
-            min_term = 0.0
-            break  # exact termination (half-integer order)
-    comb = p_sum * cos_chi - q_sum * sin_chi
-    env = abs(cos_chi) + abs(sin_chi)
-    # truncation, measured against the envelope scale e^{|Im z|} near
-    # zeros of J
-    floor = math.exp(abs(z.imag))
-    est = min_term * env / max(abs(comb), floor, 1e-300) + 4e-16
-    if est > target:
-        raise AccuracyError("asymptotic expansion below target accuracy", achieved=est)
-    return cmath.sqrt(2.0 / (math.pi * z)) * comb
-
-
-def _jv_mp(order: float, z) -> "mpmath.mpc":
-    """J_order(z) by Hankel's expansion at the current mpmath precision.
-
-    Re z < 0 is rotated into the right half-plane as in the native lane:
-    J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z).
-    """
-    if z.real < 0:
-        return mpmath.expjpi(order if z.imag >= 0 else -order) * _jv_mp(order, -z)
+    if isinstance(z, complex):
+        if abs(z.imag) > 700.0:
+            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                                achieved=math.inf)
+        if target < 4e-16:
+            raise AccuracyError("asymptotic expansion below target accuracy",
+                                achieved=4e-16)
+        root = cmath.sqrt(2.0 / (math.pi * z))
+    else:
+        root = mpmath.sqrt(2 / (mpmath.pi * z))
     cos_chi, sin_chi = _chi_cos_sin(order, z)
     p, q = _hankel_pq(order, z)
-    return mpmath.sqrt(2 / (mpmath.pi * z)) * (p * cos_chi - q * sin_chi)
+    return root * (p * cos_chi - q * sin_chi)
 
 
 def _chi_cos_sin(order: float, z):
     """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi,
-    rotated from one cos z, sin z pair as in ``_jv_hankel``."""
-    rot = mpmath.expjpi(0.5 * order + 0.25)  # cos theta + i sin theta
-    cos_z, sin_z = mpmath.cos(z), mpmath.sin(z)
-    return (cos_z * rot.real + sin_z * rot.imag,
-            sin_z * rot.real - cos_z * rot.imag)
+    in the arithmetic of z.  They are rotated from one cos z, sin z pair
+    through theta: the rounded difference z - theta would carry a phase
+    error eps*|z|."""
+    if isinstance(z, complex):
+        theta = (0.5 * order + 0.25) * math.pi
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        cos_z, sin_z = cmath.cos(z), cmath.sin(z)
+    else:
+        rot = mpmath.expjpi(0.5 * order + 0.25)
+        cos_t, sin_t = rot.real, rot.imag
+        cos_z, sin_z = mpmath.cos(z), mpmath.sin(z)
+    return cos_z * cos_t + sin_z * sin_t, sin_z * cos_t - cos_z * sin_t
 
 
 def _hankel_pq(order: float, z):
-    """P_order(z) and Q_order(z) of Hankel's expansion (DLMF 10.17.3) at
-    the current mpmath precision, for Re z >= 0:
-    J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi).
+    """P_order(z) and Q_order(z) of Hankel's expansion (DLMF 10.17.3) for
+    Re z >= 0: J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi).
 
-    The sums stop before the first index l >= |order| - 1/2 at which the
-    DLMF 10.17(iv) remainder bound
+    The sums run in the arithmetic of z: a complex z in double precision
+    (53 bits), an mpmath z at the current precision.  They stop before the
+    first index l >= |order| - 1/2 at which the DLMF 10.17(iv) remainder
+    bound
     2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
-    falls below 2^-(prec + 10); X(l) = sqrt(pi) Gamma(l/2 + 1) /
+    falls below 2^-(bits + 10); X(l) = sqrt(pi) Gamma(l/2 + 1) /
     Gamma(l/2 + 1/2) is DLMF's chi(l) (10.17.16), and with it the bound
     covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).
     Half-integer orders terminate exactly.  Raises AccuracyError when |z|
     is too small for the precision, i.e. the terms start to grow first.
     """
+    if isinstance(z, complex):
+        bits, mu = 53, 4.0 * order * order
+    else:
+        bits, mu = mpmath.mp.prec, 4 * mpmath.mpf(order) ** 2
     az = abs(complex(z))
-    mu = 4 * mpmath.mpf(order) ** 2
     mu_f = float(mu)
-    tol = 2.0 ** -(mpmath.mp.prec + 10)
+    tol = 2.0 ** -(bits + 10)
     front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
     w = 1 / (8 * z)
-    term = mpmath.mpc(1)
-    p, q = mpmath.mpc(1), mpmath.mpc(0)
+    term, p, q = 1, 1, 0
     size = 1.0  # |a_k(order)| / |z|^k
     k = 0
     while True:
@@ -348,7 +307,7 @@ def _hankel_pq(order: float, z):
             return p, q
         if step >= 1.0 and k > abs(order) + 0.5:
             raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
-                                % (mpmath.mp.prec, az), achieved=bound)
+                                % (bits, az), achieved=bound)
         term = term * w * (mu - (2 * k - 1) ** 2) / k
         signed = -term if (k // 2) % 2 else term
         if k % 2:
@@ -427,7 +386,7 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
     Raises PoleError (with a Newton distance estimate) when z sits within
     working tolerance of a zero of J_order.
     """
-    if not (math.isfinite(order) and _is_finite_c(z)):
+    if not (math.isfinite(order) and cmath.isfinite(z)):
         raise InvalidArgumentError("bessel_j_ratio requires finite inputs")
     z = complex(z)
     az = abs(z)

@@ -269,6 +269,47 @@ class TestReportCommand:
         assert float(lam_re) == doc["entries"][0]["lambda"][0]
 
 
+def _not_json(doc):
+    return "{ not json"
+
+
+def _set_bump_a(doc):
+    doc["entries"][0]["bump"]["a"] = "abc"
+    return json.dumps(doc)
+
+
+def _set_zero_denominator(doc):
+    doc["entries"][0]["q"] = [1, 0]
+    return json.dumps(doc)
+
+
+def _set_version(doc):
+    doc["version"] = 7
+    return json.dumps(doc)
+
+
+def _set_phi(doc):
+    doc["config"]["phi"] = "abc"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("corrupt", [_not_json, _set_bump_a,
+                                     _set_zero_denominator, _set_version,
+                                     _set_phi])
+def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
+                                             tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt(json.loads(open(ledger_file).read())))
+    argv = [command, "--ledger", str(bad)]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "rep")]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestDeterminismAndRoundTrip:
     def test_round_trip_bytes(self, ledger_file):
         raw = open(ledger_file, "rb").read()

@@ -240,6 +240,39 @@ class TestInvariants:
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestHankelBand:
+    """Hankel's expansion, one sum serving both lanes, from |z| = 30 up to
+    the native ceiling."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("r", [30.0, 1e2, 1e3, 1e4, 3e4])
+    def test_matches_mpmath(self, order, r):
+        for im in (10.0, 0.5, -4.0):
+            re = math.sqrt(r * r - im * im)
+            for z in (complex(re, im), complex(-re, im)):
+                got = bessel_j(BesselQuery(order, z))
+                assert got == pytest.approx(mp_j(order, z), rel=1e-12)
+
+    @pytest.mark.parametrize("order", [-1.0, -0.5, 0.0, 1.0, 1.5, 2.0])
+    def test_double_sum_matches_mp_sum(self, order):
+        for z in (complex(30.0, 0.5), complex(1e3, -10.0), complex(3e4, 2.0)):
+            p_c, q_c = specfun._hankel_pq(order, z)
+            # 20 digits: at |z| = 30 the expansion cannot reach 34
+            with mpmath.workdps(20):
+                p_mp, q_mp = specfun._hankel_pq(order, mpmath.mpc(z))
+            assert abs(p_c - complex(p_mp)) <= 1e-15
+            assert abs(q_c - complex(q_mp)) <= 1e-15
+
+    def test_target_below_rounding_floor_refused(self):
+        with pytest.raises(AccuracyError) as err:
+            specfun._jv(0.0, 100.0 + 1.0j, 1e-17)
+        assert err.value.achieved >= 1e-17
+
+    def test_double_range_guard(self):
+        with pytest.raises(AccuracyError):
+            specfun._jv(0.0, complex(100.0, 710.0), 1e-12)
+
+
 class TestBigArguments:
     @pytest.mark.parametrize("order", [-1.0, -0.5, 0.0, 1.0, 1.5])
     def test_matches_mpmath_beyond_native(self, order):
