@@ -297,22 +297,21 @@ def _finalize(params: BumpParams, p: float, eps: float, delta: float,
 
 
 def _polish(params: BumpParams) -> tuple[BumpParams, float]:
-    """Secular residual of the stored-double bump.
+    """Secular residual of the stored-double bump, after Newton on the
+    secular function of the *stored* potential (c, a) from k in the lane
+    its phase needs (``eigensolve.polish_root_mp``).
 
     In the native regime the stored wavenumber k is itself accurate enough
-    that |F(k)| <= a * eps stays far below tolerance.  At arbitrary-
-    precision scales the residual of a stored double is dominated by the
-    resonance-ladder steepness |F'| ~ a, so the eigen-wavenumber of the
-    *stored* potential (c, a) is re-solved at scaled precision and k is
-    re-rounded from it; the recorded residual then certifies that k sits
-    within an ulp of a true root.
+    that |F(k)| <= a * eps stays below tolerance, so Newton returns at its
+    seed with k and |F(k)| unchanged.  At arbitrary-precision scales the
+    residual of a stored double is dominated by the resonance-ladder
+    steepness |F'| ~ a, so k is re-rounded from the root found at scaled
+    precision; the recorded residual then certifies that k sits within an
+    ulp of a true root.
     """
     problem = eigensolve.SecularProblem(d=params.d, c=params.c, a=params.a,
                                         branch_ref=params.tau)
-    with specfun.lane(abs(params.tau) * params.a) as ops:
-        if not ops.mp:
-            return params, abs(eigensolve.secular_residual(problem, params.k))
-        k_root, residual = eigensolve.polish_root_mp(problem, params.k)
+    k_root, residual = eigensolve.polish_root_mp(problem, params.k)
     k_new = complex(k_root)
     if k_new != params.k:
         params = replace(params, k=k_new)

@@ -154,9 +154,9 @@ def secular_residual(problem: SecularProblem, k: complex) -> complex:
         return complex(f_val)
 
 
-def _newton(f_eval, k0, steep_scale: float, tol_f: float = SECULAR_TOL,
-            tol_dk: float = STEP_TOL, cap: int = NEWTON_CAP):
-    """Damped-free Newton with numerically differenced derivative.
+def _newton(f_eval, k0, steep_scale: float):
+    """Damped-free Newton with numerically differenced derivative; stops at
+    |F| <= SECULAR_TOL once the last step is below STEP_TOL (1 + |k|).
 
     The derivative step shrinks with the oscillation scale of the secular
     function (resonances sit ~pi/steep_scale apart in k), so probing never
@@ -165,12 +165,12 @@ def _newton(f_eval, k0, steep_scale: float, tol_f: float = SECULAR_TOL,
     k = k0
     dk_last = 0.0
     trace = []
-    for _ in range(cap):
+    for _ in range(NEWTON_CAP):
         try:
             f_k = f_eval(k)
             af = abs(f_k)
             trace.append((complex(k), float(af)))
-            if af <= tol_f and dk_last <= tol_dk * (1.0 + abs(complex(k))):
+            if af <= SECULAR_TOL and dk_last <= STEP_TOL * (1.0 + abs(complex(k))):
                 return k, float(af), trace
             h = (1.0 + abs(complex(k))) * min(1e-6, 0.3 / max(1.0, steep_scale))
             deriv = (f_eval(k + h) - f_eval(k - h)) / (2.0 * h)
@@ -184,7 +184,7 @@ def _newton(f_eval, k0, steep_scale: float, tol_f: float = SECULAR_TOL,
         dk_last = abs(complex(step))
         if not math.isfinite(abs(complex(k))):
             raise NoConvergenceError("iterate diverged", trace=trace)
-    raise NoConvergenceError("newton cap %d exceeded" % cap, trace=trace)
+    raise NoConvergenceError("newton cap %d exceeded" % NEWTON_CAP, trace=trace)
 
 
 def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
@@ -565,9 +565,7 @@ def grid_oracle_1d(potential: StepPotential1D, target: complex,
     # their cells, which differs between the two grids; the full
     # discrepancy (not the clean-h^2 third of it) covers the residue
     err = max(disc, 1e-14)
-    k_val = specfun.upper_sqrt(mu_r)
-    return [EigenResult(k=k_val, mu=k_val * k_val, residual=float(err),
-                        method="grid")]
+    return [eigen_result(specfun.upper_sqrt(mu_r), err, "grid")]
 
 
 def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,

@@ -101,6 +101,20 @@ class TestConstructCommand:
         assert "--m-cap must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [["--p", "1", "--steps", "2"],
+                                       ["--p", "0.5", "--steps", "2"],
+                                       ["--p", "3", "--steps", "-1"]])
+    def test_build_preconditions_are_validation_errors(self, extra, tmp_path,
+                                                       capsys):
+        # checked by build itself, before any step runs
+        out = tmp_path / "never.json"
+        code = run(["construct", "--dim", "1", "--budget", "8", *extra,
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+
     def test_robin_requires_phi(self, capsys):
         code = run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
                     "--steps", "1", "--domain", "robin", "--out", "x.json"])

@@ -242,7 +242,19 @@ class TestInvariants:
 
 class TestHankelBand:
     """Hankel's expansion, one sum serving both lanes, from |z| = 30 up to
-    the native ceiling."""
+    the native ceiling, and from |z| = 12 for half-integer orders, where
+    it terminates."""
+
+    @pytest.mark.parametrize("order", [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
+    def test_half_integer_closed_form_below_30(self, order):
+        for r in (12.5, 16.0, 20.0, 25.0, 29.5):
+            for angle in np.linspace(-math.pi, math.pi, 24, endpoint=False):
+                im = max(-10.0, min(10.0, r * math.sin(angle)))
+                z = complex(r * math.cos(angle), im)
+                if z.real < 0.0 and z.imag == 0.0:
+                    continue
+                got = bessel_j(BesselQuery(order, z))
+                assert got == pytest.approx(mp_j(order, z), rel=1e-14)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("r", [30.0, 1e2, 1e3, 1e4, 3e4])
@@ -356,6 +368,15 @@ class TestErrors:
             with pytest.raises(AccuracyError) as err:
                 specfun._hankel_pq(0.0, mpmath.mpc(5.0, 1.0))
         assert err.value.achieved > 1e-34
+
+    @pytest.mark.parametrize("z", [0.5 + 0.1j, 20.0 + 1.0j, 1e3 + 1.0j,
+                                   1e5 + 1.0j])
+    def test_non_half_integer_order_refused(self, z):
+        # an integer-only Miller ladder would return J_0 for order 0.3
+        with pytest.raises(InvalidArgumentError):
+            bessel_j(BesselQuery(0.3, z))
+        with pytest.raises(InvalidArgumentError):
+            bessel_j_ratio(0.3, z)
 
     def test_accuracy_error_carries_estimate(self):
         # an impossible target in the Miller band must fail loudly
