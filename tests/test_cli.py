@@ -353,3 +353,20 @@ def test_import_does_not_load_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_grid_runs_do_not_load_arpack(tmp_path):
+    # the grid oracle's inverse iteration settles on a 1-step whole-line
+    # ledger, so a fresh run never imports scipy.sparse for ARPACK
+    src = str(Path(cli.__file__).resolve().parents[1])
+    ledger = str(tmp_path / "grid.json")
+    code = ("import sys; from eigenbump import cli; "
+            "assert cli.main(['construct', '--dim', '1', '--p', '3', '--budget', "
+            "'8', '--steps', '1', '--out', %r]) == 0; "
+            "assert cli.main(['verify', '--ledger', %r, '--oracle', 'grid']) == 0; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+            % (ledger, ledger))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
+from eigenbump import eigensolve
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
-                                  _fd_grid_vector, count_zeros, grid_oracle_1d, grid_sigma_min,
+                                  _fd_grid_vector, count_zeros, grid_layout,
+                                  grid_oracle_1d, grid_sigma_min,
                                   refine_eigen, secular_residual, step_matrix,
                                   transfer_eigen_1d)
 from eigenbump.errors import (ContourError, GridResolutionError,
@@ -208,11 +211,28 @@ class TestStepMatrix:
         assert np.allclose(one, two, rtol=1e-12)
 
 
+@pytest.fixture
+def eigs_calls(monkeypatch):
+    """Count the ARPACK calls made while the test runs."""
+    calls = []
+    real = scipy.sparse.linalg.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    return calls
+
+
 class TestGridOracle:
-    def test_zero_potential_empty(self):
+    def test_zero_potential_empty(self, eigs_calls):
+        # no eigenvalue dominates the box modes of the cut continuum, so
+        # inverse iteration does not settle and ARPACK decides
         pot = StepPotential1D((-1.0, 1.0), (0.0,), boundary="whole")
         out = grid_oracle_1d(pot, complex(1.0, -0.4), 0.15)
         assert out == []
+        assert eigs_calls
 
     def test_matches_transfer_within_estimate(self, moderate_bump):
         pot = single_bump_potential(moderate_bump, 4.0)
@@ -250,6 +270,24 @@ class TestGridOracle:
         got = _fd_nearest(pot, x_lo, x_hi, n, target)
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("phi", [None, 0.0, 1.0])
+    def test_isolated_eigenvalue_skips_arpack(self, phi, eigs_calls):
+        # a deep step holds an eigenvalue near -2.43 - 0.95i; from a target
+        # 1.4e-3 away, inverse iteration settles without ARPACK
+        left, right, value = 2.0, 5.0, complex(-3.0, -1.0)
+        x_lo, x_hi, n = -3.0, 10.0, 400
+        if phi is None:
+            pot = StepPotential1D((left, right), (value,))
+        else:
+            x_lo = 0.0
+            pot = StepPotential1D((left, right), (value,), boundary="robin", phi=phi)
+        eigs = scipy.linalg.eigvals(
+            dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi))
+        want = eigs[np.argmin(np.abs(eigs - complex(-2.43, -0.95)))]
+        got = _fd_nearest(pot, x_lo, x_hi, n, want + 1e-3 * (1 - 1j))
+        assert got == pytest.approx(want, rel=1e-10)
+        assert not eigs_calls
+
     def test_box_eigenvalue_at_disk_edge(self, moderate_bump):
         # the second-nearest grid eigenvalue, a box mode of the cut
         # continuum, sits just outside this radius (0.20353); the oracle
@@ -275,6 +313,17 @@ class TestGridOracle:
         pot = single_bump_potential(params, 0.0)
         with pytest.raises(GridResolutionError):
             grid_oracle_1d(pot, params.mu, 0.001)
+
+    def test_cap_counts_fine_grid_points(self, moderate_bump, monkeypatch):
+        # the fine grid of n intervals' layout has 2n + 1 points: a cap of
+        # 2n is one short, a cap of 2n + 1 is enough
+        pot = single_bump_potential(moderate_bump, 4.0)
+        _, _, n = grid_layout(pot, moderate_bump.mu)
+        monkeypatch.setattr(eigensolve, "GRID_POINT_CAP", 2 * n + 1)
+        assert grid_layout(pot, moderate_bump.mu)[2] == n
+        monkeypatch.setattr(eigensolve, "GRID_POINT_CAP", 2 * n)
+        with pytest.raises(GridResolutionError, match="need %d points" % (2 * n + 1)):
+            grid_layout(pot, moderate_bump.mu)
 
 
 def dense_fd_matrix(left, right, value, x_lo, x_hi, n, phi=None):
