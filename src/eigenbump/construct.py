@@ -41,7 +41,7 @@ from . import eigensolve, specfun
 from .bump import BumpParams
 from .errors import (ConstructionError, EigenbumpError, GridResolutionError,
                      InvalidArgumentError, LedgerError, NoConvergenceError,
-                     ShiftSearchError)
+                     ShiftSearchError, SingularShiftError)
 
 log = logging.getLogger("eigenbump.construct")
 
@@ -288,9 +288,10 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     discretised H_n - z, the more pessimistic of two grids) over 16 points
     of the circle |z - mu_n| = rho.  A perturbation below gamma_n then
     keeps (H_n + U - z) invertible on the circle, trapping an eigenvalue
-    inside.  When no affordable grid resolves the problem, or the
-    sigma_min iteration does not settle, the documented fallback
-    min(gamma_prev, rho/10) is returned, flagged, with its reason logged.
+    inside.  When no affordable grid resolves the problem, a shift is
+    exactly singular on a grid, or the sigma_min iteration does not
+    settle, the documented fallback min(gamma_prev, rho/10) is returned,
+    flagged, with its reason logged.
 
     The power iterations are warm-started, which changes their cost and
     not their stop rule: on the coarse grid each circle point starts from
@@ -339,7 +340,7 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
             try:
                 sigma, vector = eigensolve.grid_sigma_min(pot, z, x_lo, x_hi,
                                                           n_grid, start=start)
-            except NoConvergenceError as exc:
+            except (NoConvergenceError, SingularShiftError) as exc:
                 return fallback(exc)
             vectors.append(vector)
             m_here = max(m_here, 1.0 / max(sigma, 1e-300))

@@ -26,6 +26,7 @@ such solves run at scaled arbitrary precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,8 @@ import numpy as np
 from . import specfun
 from .errors import (AccuracyError, BranchError, ContourError,
                      GridResolutionError, InvalidArgumentError,
-                     NoConvergenceError, PoleError, WrongSheetError)
+                     NoConvergenceError, PoleError, SingularShiftError,
+                     WrongSheetError)
 
 SECULAR_TOL = 1e-10
 STEP_TOL = 1e-12
@@ -417,6 +419,7 @@ def _has_ghost(potential: StepPotential1D) -> bool:
             and abs(potential.phi - math.pi / 2.0) >= 1e-14)
 
 
+@functools.lru_cache(maxsize=2)
 def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     """Tridiagonal finite-difference form of H on [x_lo, x_hi].
 
@@ -427,6 +430,11 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     eliminated into the first row.  The nodes are x_lo + j h, h =
     (x_hi - x_lo)/(n + 1), for j = 1..n, or j = 0..n with the ghost node.
     Returns (lower, main, upper, h).
+
+    Only the shift z changes across a resolvent sweep, so the operator is
+    built once per grid and shared: the cache keeps the last two grids
+    (a sweep's coarse n and fine 2n + 1, at most ~16 MB at GRID_POINT_CAP),
+    and the three diagonals are read-only.
     """
     h = (x_hi - x_lo) / (n + 1)
     ghost = _has_ghost(potential)
@@ -438,6 +446,8 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     if ghost:
         main[0] = (2.0 - 2.0 * h * math.tan(potential.phi)) / h ** 2 + vals[0]
         upper[0] = -2.0 / h ** 2
+    for diagonal in (lower, main, upper):
+        diagonal.flags.writeable = False
     return lower, main, upper, h
 
 
@@ -472,16 +482,19 @@ def _fd_grid_vector(potential: StepPotential1D, n: int,
 def _fd_lu(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
            z: complex):
     """LAPACK zgttrf factors of the tridiagonal FD form of H - z; raises
-    LinAlgError when H - z is exactly singular on the grid."""
+    SingularShiftError (a LinAlgError) when H - z is exactly singular on the
+    grid.  The shared operator is only read: zgttrf copies the two
+    off-diagonals and factors the fresh main - z in place."""
     # scipy is imported in the grid functions, not at module level: desk
-    # runs never touch the grid, and scipy.linalg adds ~0.4 s to every
+    # runs never touch the grid, and scipy.linalg adds ~0.3 s to every
     # command's start
     import scipy.linalg.lapack
 
     lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
-    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
+    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper,
+                                                overwrite_d=1)
     if info != 0:
-        raise np.linalg.LinAlgError("H - z is singular on the grid (info %d)" % info)
+        raise SingularShiftError("H - z is singular on the grid (info %d)" % info)
     return factors
 
 
@@ -604,9 +617,12 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     truncated domain [x_lo, x_hi], with its right singular vector.
 
     Power iteration on the inverse normal operator, reusing the one
-    tridiagonal LU of H - z (``_fd_lu``) for both solves of every step;
-    1/sigma_min estimates the resolvent norm on the grid.  Returns
-    (sigma, vector), the vector normalised on this grid's nodes.
+    tridiagonal LU of H - z (``_fd_lu``, on the grid's shared operator) for
+    both solves of every step; 1/sigma_min estimates the resolvent norm on
+    the grid.  The steps run in place on one vector allocated per call, so
+    a step allocates nothing.  Returns (sigma, vector), the vector
+    normalised on this grid's nodes; it belongs to the caller and shares no
+    memory with ``start``, which is left as it was.
 
     The cold start vector is a ramp, which is neither even nor odd, so a
     mirror-symmetric operator cannot hide its smallest singular vector
@@ -619,8 +635,9 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
 
     The growth never decreases; the iteration stops once it changes by at
     most SIGMA_TOL relative, and raises NoConvergenceError after
-    SIGMA_ITER_CAP steps.  Raises LinAlgError when H - z is exactly
-    singular and InvalidArgumentError for a start of any other length.
+    SIGMA_ITER_CAP steps.  Raises SingularShiftError (a LinAlgError) when
+    H - z is exactly singular and InvalidArgumentError for a start of any
+    other length.
     """
     import scipy.linalg.lapack
 
@@ -637,10 +654,10 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
         v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(SIGMA_ITER_CAP):
-        w, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C")
-        u, _ = scipy.linalg.lapack.zgttrs(*factors, w)
-        prev, growth = growth, float(np.linalg.norm(u))
-        v = u / growth
+        v, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C", overwrite_b=1)
+        v, _ = scipy.linalg.lapack.zgttrs(*factors, v, overwrite_b=1)
+        prev, growth = growth, float(np.linalg.norm(v))
+        v /= growth
         if growth - prev <= SIGMA_TOL * growth:
             return 1.0 / math.sqrt(growth), v
     raise NoConvergenceError("sigma_min power iteration: growth still moving "

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class EigenbumpError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,6 +56,10 @@ class ContourError(EigenbumpError):
 
 class GridResolutionError(EigenbumpError):
     """The finite-difference oracle cannot resolve the requested problem."""
+
+
+class SingularShiftError(GridResolutionError, np.linalg.LinAlgError):
+    """The shifted operator H - z is exactly singular on the grid."""
 
 
 class BudgetInfeasibleError(EigenbumpError):

@@ -172,6 +172,43 @@ class TestConstructCommand:
         assert doc["failed_at"] == 1 and doc["entries"] == []
 
 
+def make_grid_singular(monkeypatch):
+    """Every tridiagonal factorisation from now on reports a zero pivot."""
+    import scipy.linalg.lapack
+    original = scipy.linalg.lapack.zgttrf
+
+    def zgttrf(*args, **kwargs):
+        *factors, _ = original(*args, **kwargs)
+        return (*factors, 1)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", zgttrf)
+
+
+class TestSingularGridShift:
+    def test_construct_falls_back(self, tmp_path, monkeypatch, caplog, capsys):
+        path = tmp_path / "singular.json"
+        make_grid_singular(monkeypatch)
+        with caplog.at_level("INFO", logger="eigenbump.construct"):
+            code = run(["construct", "--dim", "1", "--p", "3", "--budget", "8",
+                        "--steps", "1", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        entry = json.loads(path.read_text())["entries"][0]
+        assert entry["gamma_warning"]
+        assert ("gamma step: H - z is singular on the grid (info 1); "
+                "using fallback" in caplog.messages)
+
+    def test_grid_verify_names_entry(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "one.json"
+        assert run(["construct", "--dim", "1", "--p", "3", "--budget", "8",
+                    "--steps", "1", "--out", str(path)]) == 0
+        make_grid_singular(monkeypatch)
+        code = run(["verify", "--ledger", str(path), "--oracle", "grid"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert ("entry 1 FAILED: oracle failure: H - z is singular on the "
+                "grid (info 1)" in err)
+
+
 class TestVerifyCommand:
     def test_transfer_pass(self, ledger_file, capsys):
         code = run(["verify", "--ledger", ledger_file, "--oracle", "transfer"])

@@ -260,6 +260,44 @@ class TestEstimateGamma:
         assert all(f[1] is c[2] for c, f in zip(coarse, fine))
         assert all(f[0] == 2 * coarse[0][0] + 1 for f in fine)
 
+    def test_operator_built_once_per_grid(self, generous_ledger, monkeypatch):
+        # the oracle and all 32 sweep shifts share the coarse and the fine
+        # grid's operator, so the cell averages are formed twice
+        first = replace(generous_ledger, entries=generous_ledger.entries[:1])
+        original = eigensolve._cell_values
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+        monkeypatch.setattr(eigensolve, "_cell_values", spy)
+        eigensolve._fd_operator.cache_clear()
+        got = estimate_gamma(first, first.entries[0].mu_n)
+        assert got.method == "resolvent"
+        assert len(calls) == 2 and calls[1] == 2 * calls[0] + 1
+
+    def test_singular_sweep_shift_falls_back(self, generous_ledger,
+                                             monkeypatch, caplog):
+        # the oracle's two factorisations succeed; the first sweep shift's
+        # reports a zero pivot
+        import scipy.linalg.lapack
+        first = replace(generous_ledger, entries=generous_ledger.entries[:1])
+        original = scipy.linalg.lapack.zgttrf
+        calls = []
+
+        def zgttrf(*args, **kwargs):
+            calls.append(None)
+            *factors, info = original(*args, **kwargs)
+            return (*factors, 1 if len(calls) > 2 else info)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", zgttrf)
+        with caplog.at_level("INFO", logger="eigenbump.construct"):
+            got = estimate_gamma(first, first.entries[0].mu_n)
+        assert got.warning and got.method == "fallback"
+        assert got.gamma == got.rho / 10.0
+        assert len(calls) == 3
+        assert ("gamma step: H - z is singular on the grid (info 1); "
+                "using fallback" in caplog.messages)
+
     def test_rejects_real_mu(self, generous_ledger):
         with pytest.raises(InvalidArgumentError):
             estimate_gamma(generous_ledger, complex(1.0, 0.0))

@@ -2,17 +2,20 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
-from eigenbump import eigensolve
+from eigenbump import construct, eigensolve
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
-                                  _fd_grid_vector, count_zeros, grid_layout,
+                                  _fd_grid_vector, _fd_operator, count_zeros,
+                                  grid_layout,
                                   grid_oracle_1d, grid_sigma_min,
                                   refine_eigen, secular_residual, step_matrix,
                                   transfer_eigen_1d)
@@ -446,6 +449,112 @@ class TestGridSigmaMin:
         pot = StepPotential1D((0.5, 1.0), (0.0,))
         with pytest.raises(np.linalg.LinAlgError):
             grid_sigma_min(pot, 2.0, 0.0, 4.0, 3)
+
+
+def allocating_sigma_min(pot, z, x_lo, x_hi, n, start=None):
+    """Reference power loop that allocates every step's solves and its
+    normalised vector, as grid_sigma_min did before its steps ran in place;
+    the same start, factorisation and stop rule otherwise."""
+    lower, main, upper, _ = _fd_operator(pot, x_lo, x_hi, n)
+    *factors, info = scipy.linalg.lapack.zgttrf(lower, main - complex(z), upper)
+    assert info == 0
+    v = np.linspace(1.0, 2.0, len(factors[1])).astype(complex)
+    v /= np.linalg.norm(v)
+    if start is not None:
+        start = _fd_grid_vector(pot, n, start)
+        v = start / float(np.linalg.norm(start)) + 1e-2 * v
+        v /= np.linalg.norm(v)
+    growth = 0.0
+    for _ in range(eigensolve.SIGMA_ITER_CAP):
+        w, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C")
+        u, _ = scipy.linalg.lapack.zgttrs(*factors, w)
+        prev, growth = growth, float(np.linalg.norm(u))
+        v = u / growth
+        if growth - prev <= eigensolve.SIGMA_TOL * growth:
+            return 1.0 / math.sqrt(growth), v
+    raise AssertionError("reference loop did not settle")
+
+
+def sweep_potential(phi):
+    """The step 0.8-0.3i on [2, 5]: whole line on [-3, 10] for phi None,
+    else Robin on [0, 10]; returns (potential, x_lo, x_hi)."""
+    if phi is None:
+        return StepPotential1D((2.0, 5.0), (complex(0.8, -0.3),)), -3.0, 10.0
+    return (StepPotential1D((2.0, 5.0), (complex(0.8, -0.3),),
+                            boundary="robin", phi=phi), 0.0, 10.0)
+
+
+def operator_matrix(pot, x_lo, x_hi, n):
+    lower, main, upper, _ = _fd_operator(pot, x_lo, x_hi, n)
+    return np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+class TestInPlaceSweep:
+    @pytest.mark.parametrize("start", ["cold", "same-grid", "coarse-grid"])
+    @pytest.mark.parametrize("phi", [None, 0.0, 1.0])
+    def test_bitwise_equal_to_allocating_loop(self, phi, start):
+        # the in-place steps perform the same operations on the same
+        # operands, so sigma and vector agree to the last bit
+        pot, x_lo, x_hi = sweep_potential(phi)
+        z, n = complex(1.0, -0.2), 400
+        warm = None
+        if start == "same-grid":
+            _, warm = allocating_sigma_min(pot, complex(1.05, -0.2), x_lo, x_hi, n)
+        elif start == "coarse-grid":
+            _, warm = allocating_sigma_min(pot, z, x_lo, x_hi, n // 2)
+            n = n + 1
+        want_sigma, want_vec = allocating_sigma_min(pot, z, x_lo, x_hi, n, warm)
+        got_sigma, got_vec = grid_sigma_min(pot, z, x_lo, x_hi, n, start=warm)
+        assert got_sigma == want_sigma
+        assert np.array_equal(got_vec, want_vec)
+
+    @pytest.mark.parametrize("n_next", [200, 401])
+    def test_start_is_left_alone(self, n_next):
+        # a returned vector fed back as the next start, on its own grid or
+        # prolonged to the fine one, is read and never written
+        pot, x_lo, x_hi = sweep_potential(None)
+        _, first = grid_sigma_min(pot, complex(1.0, -0.2), x_lo, x_hi, 200)
+        kept = first.copy()
+        _, second = grid_sigma_min(pot, complex(1.05, -0.2), x_lo, x_hi,
+                                   n_next, start=first)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+
+class TestOperatorCache:
+    def test_cached_diagonals_read_only(self):
+        pot, x_lo, x_hi = sweep_potential(0.0)
+        for diagonal in _fd_operator(pot, x_lo, x_hi, 50)[:3]:
+            with pytest.raises(ValueError):
+                diagonal[0] = 0.0
+
+    @pytest.mark.parametrize("pair", ["robin-phi", "robin-whole", "perturbation"])
+    def test_distinct_potentials_distinct_operators(self, pair):
+        # on one grid, each potential of the pair gets its own operator,
+        # whichever of them the cache saw first
+        x_lo, x_hi, n = 0.0, 10.0, 60
+        value = complex(0.8, -0.3)
+        if pair == "robin-phi":
+            first, _, _ = sweep_potential(0.0)
+            second, _, _ = sweep_potential(1.0)
+            wants = [dense_fd_matrix(2.0, 5.0, value, x_lo, x_hi, n, phi)
+                     for phi in (0.0, 1.0)]
+        elif pair == "robin-whole":
+            first, _, _ = sweep_potential(0.0)
+            second = StepPotential1D((2.0, 5.0), (value,))
+            wants = [dense_fd_matrix(2.0, 5.0, value, x_lo, x_hi, n, phi)
+                     for phi in (0.0, None)]
+        else:
+            entry = SimpleNamespace(t=3.5, bump=SimpleNamespace(a=1.5, c=value))
+            first = construct.step_potential([entry])
+            second = construct.step_potential([entry], support_perturbation=0.05)
+            wants = [dense_fd_matrix(2.0, 5.0, v, x_lo, x_hi, n)
+                     for v in (value, value + 0.05)]
+        _fd_operator.cache_clear()
+        gots = [operator_matrix(pot, x_lo, x_hi, n) for pot in (first, second)]
+        assert not np.array_equal(gots[0], gots[1])
+        for got, want in zip(gots, wants):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
 
 
 class TestMultiBumpGrid:
