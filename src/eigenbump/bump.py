@@ -62,6 +62,10 @@ class BumpParams:
     k: complex
     residual: float = 0.0
 
+    def __post_init__(self):
+        if not (self.a > 0.0 and math.isfinite(self.a)):
+            raise InvalidArgumentError("radius a must be finite and > 0")
+
     @property
     def c(self) -> complex:
         return self.k * self.k - self.tau * self.tau

@@ -33,6 +33,8 @@ EXIT_PARTIAL = 3
 EXIT_VERIFY = 4
 
 LEDGER_VERSION = 1
+# verify accepts |mu - lambda| <= VERIFY_TOL (1 + |lambda|), or + grid residual
+VERIFY_TOL = 1e-8
 
 
 def _c(z: complex) -> list:
@@ -129,6 +131,8 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
                 verified=bool(rec["verified"]),
                 _k_mu=specfun.upper_sqrt(_uc(rec["mu_n"])))
             ledger.entries.append(entry)
+        if ledger.failed_at is None and any(e.lambda_n is None for e in ledger.entries):
+            raise InvalidArgumentError("a complete ledger has an entry without lambda")
         meta = {"version": doc["version"], "created": doc["created"],
                 "steps": int(cfg["steps"])}
         return ledger, meta
@@ -243,7 +247,7 @@ def cmd_verify(args) -> int:
         try:
             if args.oracle == "transfer":
                 located = eigensolve.transfer_eigen_1d(pot, k_lam)
-                tol = args.tol * (1.0 + abs(lam))
+                tol = VERIFY_TOL * (1.0 + abs(lam))
             else:
                 # window the operator around this entry; distant bumps sit
                 # below the eigenfunction tail the margin already ignores
@@ -254,7 +258,7 @@ def cmd_verify(args) -> int:
                 if not results:
                     raise EigenbumpError("grid oracle found nothing in the disk")
                 located = results[0]
-                tol = args.tol + located.residual
+                tol = VERIFY_TOL + located.residual
         except EigenbumpError as exc:
             failures.append((entry.n, "oracle failure: %s" % exc))
             continue
@@ -350,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--ledger", required=True)
     p_ver.add_argument("--oracle", choices=("transfer", "grid"),
                        default="transfer")
-    p_ver.add_argument("--tol", type=_positive, default=1e-8)
     p_ver.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("report", help="export CSV tables from a ledger")

@@ -159,37 +159,39 @@ def secular_residual(problem: SecularProblem, k: complex) -> complex:
         return complex(f_val)
 
 
-def _newton(f_eval, k0, steep_scale: float):
+def _newton(f_eval, k0, ref, steep_scale: float):
     """Damped-free Newton with numerically differenced derivative; stops at
     |F| <= SECULAR_TOL once the last step is below STEP_TOL (1 + |k|).
 
-    The derivative step shrinks with the oscillation scale of the secular
+    ``f_eval(k, ref)`` returns (F, ref): the branch reference is carried
+    from each evaluation into the next, k before k + h before k - h.  The
+    derivative step shrinks with the oscillation scale of the secular
     function (resonances sit ~pi/steep_scale apart in k), so probing never
     averages across neighbouring roots.
     """
     k = k0
     dk_last = 0.0
-    trace = []
     for _ in range(NEWTON_CAP):
         try:
-            f_k = f_eval(k)
+            f_k, ref = f_eval(k, ref)
             af = abs(f_k)
-            trace.append((complex(k), float(af)))
             if af <= SECULAR_TOL and dk_last <= STEP_TOL * (1.0 + abs(complex(k))):
-                return k, float(af), trace
+                return k, float(af)
             h = (1.0 + abs(complex(k))) * min(1e-6, 0.3 / max(1.0, steep_scale))
-            deriv = (f_eval(k + h) - f_eval(k - h)) / (2.0 * h)
+            f_plus, ref = f_eval(k + h, ref)
+            f_minus, ref = f_eval(k - h, ref)
+            deriv = (f_plus - f_minus) / (2.0 * h)
         except (OverflowError, ZeroDivisionError, AccuracyError, PoleError) as exc:
             raise NoConvergenceError("iteration left the evaluable region: %s"
-                                     % exc, trace=trace) from exc
+                                     % exc) from exc
         if deriv == 0:
-            raise NoConvergenceError("zero numerical derivative", trace=trace)
+            raise NoConvergenceError("zero numerical derivative")
         step = -f_k / deriv
         k = k + step
         dk_last = abs(complex(step))
         if not math.isfinite(abs(complex(k))):
-            raise NoConvergenceError("iterate diverged", trace=trace)
-    raise NoConvergenceError("newton cap %d exceeded" % NEWTON_CAP, trace=trace)
+            raise NoConvergenceError("iterate diverged")
+    raise NoConvergenceError("newton cap %d exceeded" % NEWTON_CAP)
 
 
 def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
@@ -218,15 +220,8 @@ def polish_root_mp(problem: SecularProblem, k_seed: complex):
     k0 = complex(k_seed)
     scale = _secular_scale(problem, k0)
     with specfun.lane(scale) as ops:
-        state = {"ref": ops.lift(problem.branch_ref)}
-
-        def f_eval(k):
-            f_val, tau = _secular_eval(problem, k, state["ref"], ops)
-            state["ref"] = tau
-            return f_val
-
-        k, residual, _ = _newton(f_eval, ops.lift(k0), steep_scale=scale)
-        return k, residual
+        return _newton(lambda k, ref: _secular_eval(problem, k, ref, ops),
+                       ops.lift(k0), ops.lift(problem.branch_ref), scale)
 
 
 def count_zeros(problem: SecularProblem, rect) -> int:
@@ -373,16 +368,10 @@ def _transfer_newton(potential: StepPotential1D, k_seed: complex):
         raise InvalidArgumentError("transfer seed needs Im k > 0")
     scale = _phase_scale(potential, k_seed)
     with specfun.lane(scale) as ops:
-        state = {"refs": [ops.lift(specfun.upper_sqrt(k_seed * k_seed - v))
-                          for (_, v) in _intervals(potential)]}
-
-        def f_eval(k):
-            s_val, new_refs = _transfer_eval(potential, k, state["refs"], ops)
-            state["refs"] = new_refs
-            return s_val
-
-        k, residual, _ = _newton(f_eval, ops.lift(k_seed), steep_scale=scale)
-        return k, residual
+        refs = [ops.lift(specfun.upper_sqrt(k_seed * k_seed - v))
+                for (_, v) in _intervals(potential)]
+        return _newton(lambda k, refs: _transfer_eval(potential, k, refs, ops),
+                       ops.lift(k_seed), refs, scale)
 
 
 # ---------------------------------------------------------------------------

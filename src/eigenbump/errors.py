@@ -39,11 +39,7 @@ class BranchError(EigenbumpError):
 
 
 class NoConvergenceError(EigenbumpError):
-    """Root iteration did not converge; ``trace`` holds the iterates."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Root iteration did not converge."""
 
 
 class WrongSheetError(EigenbumpError):

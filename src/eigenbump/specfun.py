@@ -25,13 +25,11 @@ arithmetic with the working precision scaled to the phase.  That rule is
 the package's one precision lane (``lane``): every solver whose phase can
 pass 3e4 picks its arithmetic through it.  Hankel's expansion is one sum
 for both lanes: it runs in the arithmetic of its argument, double for a
-complex and the lane's precision for an mpmath number.  Ratios
-J_{n-1}(z)/J_n(z) are the quotient of the two evaluations, except in the
-mpmath lane: half-integer orders are elementary there (cot z for n = 1/2,
-carried to other half-integers by the three-term recurrence), and integer
-orders take the quotient of the two Hankel forms, whose common factor
-sqrt(2/(pi z)) cancels.  Near a zero of the denominator the ratio raises
-PoleError instead.
+complex and the lane's precision for an mpmath number, and so does the
+ratio J_{n-1}(z)/J_n(z) (``_ratio``): the half-integer closed form (cot z
+at n = 1/2 and the three-term recurrence), the quotient of two Hankel
+forms for integer orders at |z| >= 30, else the quotient of two J values.
+Near a zero of the denominator it raises PoleError, by one rule for all.
 """
 
 from __future__ import annotations
@@ -259,6 +257,13 @@ def _jv_hankel(order: float, z, target: float):
     return root * (p * cos_chi - q * sin_chi)
 
 
+def _cos_sin(z):
+    """cos z and sin z in the arithmetic of z (mpmath: one call, same digits)."""
+    if isinstance(z, complex):
+        return cmath.cos(z), cmath.sin(z)
+    return mpmath.cos_sin(z)
+
+
 def _chi_cos_sin(order: float, z):
     """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi,
     in the arithmetic of z.  They are rotated from one cos z, sin z pair
@@ -267,11 +272,10 @@ def _chi_cos_sin(order: float, z):
     if isinstance(z, complex):
         theta = (0.5 * order + 0.25) * math.pi
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        cos_z, sin_z = cmath.cos(z), cmath.sin(z)
     else:
         rot = mpmath.expjpi(0.5 * order + 0.25)
         cos_t, sin_t = rot.real, rot.imag
-        cos_z, sin_z = mpmath.cos(z), mpmath.sin(z)
+    cos_z, sin_z = _cos_sin(z)
     return cos_z * cos_t + sin_z * sin_t, sin_z * cos_t - cos_z * sin_t
 
 
@@ -356,7 +360,7 @@ def _envelope(z: complex) -> float:
 
 
 def bessel_j_ratio(order: float, z: complex) -> complex:
-    """J_{order-1}(z) / J_order(z), the quotient of the two evaluations;
+    """J_{order-1}(z) / J_order(z) in double precision (``_ratio``);
     beyond NATIVE_MAX, ``bessel_ratio_mp`` at the lane's precision.
 
     Raises PoleError (with a Newton distance estimate) when z sits within
@@ -376,54 +380,57 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
     with lane(az) as ops:
         if ops.mp:
             return complex(bessel_ratio_mp(order, mpmath.mpc(z)))
-
-    j_prev = _jv(order - 1.0, z, 1e-8)
-    j_n = _jv(order, z, 1e-8)
-    # pole guard: compare |J_order| against its typical envelope
-    envelope = math.sqrt(2.0 / (math.pi * max(az, 0.5))) * math.exp(abs(z.imag))
-    if abs(j_n) < 1e-12 * envelope:
-        j_prime = j_prev - (order / z) * j_n
-        dist = abs(j_n / j_prime) if j_prime != 0 else 0.0
-        raise PoleError(
-            "z=%r lies within tolerance of a zero of J_%g" % (z, order), distance=dist)
-    return j_prev / j_n
+    return _ratio(order, z)
 
 
 def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
-    """J_{order-1}(z)/J_order(z) at the caller's current mpmath precision.
+    """``_ratio`` at the caller's mpmath precision: the mpmath lane's entry."""
+    return _ratio(order, z)
 
-    Half-integer orders (every odd dimension) are elementary: J_{-1/2} and
-    J_{1/2} are cos z and sin z times a common factor, and the three-term
-    recurrence J_{n-1} + J_{n+1} = (2n/z) J_n carries that pair down or up
-    to (J_{order-1}, J_order).  Upward is stable because this lane has
-    |z| > NATIVE_MAX, far above the order.  The Hankel quotient below is
-    exact for these orders too, and on all 285 calls of the 5-step d = 1
-    build (``construct --dim 1 --p 1.5 --budget 1 --steps 5``) it returns
-    the same doubles; the recurrence stays because the quotient costs 301
-    us per call against its 164 us (best of 5, one core of a 2-vCPU
-    machine), about 39 ms more per build.  Integer orders (every even
-    dimension) are the quotient of the two Hankel forms
-    (``_hankel_pq``): chi_{order-1} = chi_order + pi/2, so both share one
-    rotated (cos chi, sin chi) and the factor sqrt(2/(pi z)) cancels.
-    Re z < 0 is reflected through ratio(-z) = -ratio(z).
+
+def _ratio(order: float, z):
+    """J_{order-1}(z)/J_order(z) in the arithmetic of z: double for a
+    complex, the current mpmath precision for an mpmath number.
+
+    Each form gives the pair up to a common factor.  Half-integer orders:
+    cos z and sin z (J_{-1/2}, J_{1/2} over sqrt(2/(pi z))), carried to the
+    order by J_{n-1} + J_{n+1} = (2n/z) J_n while |z| >= order - 1/2 (below
+    that its upward steps cancel: ten digits at order 3/2, |z| = 1e-5).
+    |z| >= ASYMPT_MIN: both Hankel forms over sqrt(2/(pi z)), sharing one
+    (cos chi, sin chi) as chi_{order-1} = chi_order + pi/2, and
+    ratio(-z) = -ratio(z) for Re z < 0.  Otherwise (double only) the two
+    ``_jv`` values.  One pole rule: PoleError with the Newton distance
+    |J_order/J_order'| when |J_order| < 1e-12 of its envelope, e^{|Im z|}
+    without sqrt(2/(pi z)) and ``_envelope`` for ``_jv``, in the arithmetic
+    of z.  A double beyond |Im z| = 700 is an AccuracyError.
     """
-    if order % 1.0 == 0.5:
+    if isinstance(z, complex):
+        if abs(z.imag) > 700.0:
+            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                                achieved=math.inf)
+        envelope = math.exp(abs(z.imag))
+    else:
+        envelope = mpmath.exp(abs(z.imag))
+    az = abs(complex(z))
+    if order % 1.0 == 0.5 and az >= order - 0.5:
         # (J_{n-1}, J_n) up to a common factor, starting at n = 1/2
-        prev, cur, n = mpmath.cos(z), mpmath.sin(z), 0.5
+        (prev, cur), n = _cos_sin(z), 0.5
         while n > order:
             prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
         while n < order:
             prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
-        if cur == 0:
-            raise PoleError("J_%g vanishes at z=%s" % (order, z), distance=0.0)
-        return prev / cur
-    sign = 1
-    if z.real < 0:
-        z, sign = -z, -1
-    cos_chi, sin_chi = _chi_cos_sin(order, z)
-    p, q = _hankel_pq(order, z)
-    denom = p * cos_chi - q * sin_chi
-    if denom == 0:
-        raise PoleError("J_%g vanishes at z=%s" % (order, sign * z), distance=0.0)
-    p_prev, q_prev = _hankel_pq(order - 1.0, z)
-    return -sign * (p_prev * sin_chi + q_prev * cos_chi) / denom
+    elif az >= ASYMPT_MIN:
+        if z.real < 0:
+            return -_ratio(order, -z)
+        cos_chi, sin_chi = _chi_cos_sin(order, z)
+        p, q = _hankel_pq(order, z)
+        p_prev, q_prev = _hankel_pq(order - 1.0, z)
+        prev, cur = -(p_prev * sin_chi + q_prev * cos_chi), p * cos_chi - q * sin_chi
+    else:
+        prev, cur = _jv(order - 1.0, z, 1e-8), _jv(order, z, 1e-8)
+        envelope = _envelope(z)
+    if abs(cur) < 1e-12 * envelope:
+        slope = prev - (order / z) * cur
+        raise PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
+                        distance=float(abs(cur / slope)) if slope != 0 else 0.0)
+    return prev / cur

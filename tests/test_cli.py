@@ -260,6 +260,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "ledger is partial (failed at step 2)" in err
 
+    def test_tol_is_not_an_option(self, ledger_file, capsys):
+        # the acceptance tolerance is fixed (cli.VERIFY_TOL)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--ledger", ledger_file, "--tol", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         code = run(["verify", "--ledger", "/nonexistent/l.json"])
         assert code == 2
@@ -344,10 +351,21 @@ def _set_phi(doc):
     return json.dumps(doc)
 
 
+def _drop_lambda(doc):
+    # a complete ledger (failed_at null) must carry a lambda on every entry
+    doc["entries"][0]["lambda"] = None
+    return json.dumps(doc)
+
+
+def _zero_bump_a(doc):
+    doc["entries"][0]["bump"]["a"] = 0.0
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("corrupt", [_not_json, _set_bump_a,
                                      _set_zero_denominator, _set_version,
-                                     _set_phi])
+                                     _set_phi, _drop_lambda, _zero_bump_a])
 def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
                                              tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -164,6 +164,43 @@ class TestRatio:
             got = specfun.bessel_ratio_mp(order, z)
             assert abs(got - want) <= 1e-30 * abs(want)
 
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    def test_native_integer_order_reflected(self, order):
+        # Re z < 0 in the Hankel band takes ratio(-z) = -ratio(z)
+        for z in (-30.0 + 0.5j, -30.0 - 2.0j, -47.3 + 1.0j, -500.0 - 3.0j,
+                  -1234.5 + 0.01j, -1e3 + 5.0j, -2.9e4 + 10.0j):
+            want = mp_j(order - 1.0, z) / mp_j(order, z)
+            assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("order", [-0.5, 0.0, 0.5, 1.5])
+    @pytest.mark.parametrize("z", [2.9e4 + 3.0j, 2.99e4 + 0.5j, -2.95e4 + 1.0j,
+                                   3.1e4 + 3.0j, 3.02e4 + 12.5j, -3.05e4 + 1.0j])
+    def test_lanes_agree_across_native_max(self, order, z):
+        # the one core in double and at the lane's precision, on both sides
+        # of the hand-off
+        native = specfun._ratio(order, z)
+        with mpmath.workdps(35):
+            extended = complex(specfun.bessel_ratio_mp(order, mpmath.mpc(z)))
+        assert native == pytest.approx(extended, rel=1e-15)
+        assert bessel_j_ratio(order, z) == pytest.approx(extended, rel=1e-15)
+
+    @pytest.mark.parametrize("order,z", [
+        (1.5, 1e-5 + 0j), (1.5, 1e-3 + 1e-3j), (1.5, 0.5 + 0.2j),
+        (1.5, 1.0 + 0.1j), (2.5, 0.05 + 0.01j), (2.5, 2.0 + 0.1j),
+        (9.5, 3.0 + 0.5j), (9.5, 9.0 + 0.1j), (9.5, 12.5 + 0.5j)])
+    def test_half_integer_small_argument(self, order, z):
+        # upward recurrence steps would cancel below |z| ~ order
+        want = mp_j(order - 1.0, z) / mp_j(order, z)
+        assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-14)
+
+    def test_mp_pole_detected(self):
+        # sin z vanishes to the lane's precision at z = pi * 1e5
+        with specfun.lane(math.pi * 1e5) as ops:
+            assert ops.mp
+            with pytest.raises(PoleError) as err:
+                specfun.bessel_ratio_mp(0.5, mpmath.mpc(mpmath.pi * 10 ** 5))
+        assert err.value.distance < 1e-20
+
     def test_pole_detected(self):
         # first zero of J_0
         j0_zero = 2.404825557695773
