@@ -440,6 +440,17 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     return lower, main, upper, h
 
 
+@functools.lru_cache(maxsize=2)
+def _unit_ramp(length: int) -> np.ndarray:
+    """The normalised ramp linspace(1, 2, length), complex: the cold start
+    of ``grid_sigma_min``, cached per length like the grid's operator and
+    read-only."""
+    ramp = np.linspace(1.0, 2.0, length).astype(complex)
+    ramp /= np.linalg.norm(ramp)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _fd_grid_vector(potential: StepPotential1D, n: int,
                     vector: np.ndarray) -> np.ndarray:
     """A node vector for the FD grid of n intervals' layout (``_fd_operator``).
@@ -636,17 +647,20 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
         if not (scale > 0.0 and math.isfinite(scale)):
             raise InvalidArgumentError("start vector must be finite and nonzero")
     factors = _fd_lu(potential, x_lo, x_hi, n, z)
-    v = np.linspace(1.0, 2.0, len(factors[1])).astype(complex)
-    v /= np.linalg.norm(v)
-    if start is not None:
-        v = start / scale + 1e-2 * v
+    ramp = _unit_ramp(len(factors[1]))
+    if start is None:
+        v = ramp.copy()
+    else:
+        v = start / scale + 1e-2 * ramp
         v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(SIGMA_ITER_CAP):
         v, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C", overwrite_b=1)
         v, _ = scipy.linalg.lapack.zgttrs(*factors, v, overwrite_b=1)
         prev, growth = growth, float(np.linalg.norm(v))
-        v /= growth
+        # numpy divides a complex array by a real scalar as this product,
+        # and the product alone is several times faster
+        v *= 1.0 / growth
         if growth - prev <= SIGMA_TOL * growth:
             return 1.0 / math.sqrt(growth), v
     raise NoConvergenceError("sigma_min power iteration: growth still moving "

@@ -23,13 +23,17 @@ precision (z = tau * a) moves its phase by more than the accuracy this
 library promises, so such arguments are delegated to arbitrary-precision
 arithmetic with the working precision scaled to the phase.  That rule is
 the package's one precision lane (``lane``): every solver whose phase can
-pass 3e4 picks its arithmetic through it.  Hankel's expansion is one sum
-for both lanes: it runs in the arithmetic of its argument, double for a
-complex and the lane's precision for an mpmath number, and so does the
-ratio J_{n-1}(z)/J_n(z) (``_ratio``): the half-integer closed form (cot z
-at n = 1/2 and the three-term recurrence), the quotient of two Hankel
-forms for integer orders at |z| >= 30, else the quotient of two J values.
-Near a zero of the denominator it raises PoleError, by one rule for all.
+pass 3e4 picks its arithmetic through it.  Hankel's expansion runs in the
+arithmetic of its argument, and so does the ratio J_{n-1}(z)/J_n(z)
+(``_ratio``): the half-integer closed form (cot z at n = 1/2 and the
+three-term recurrence), the quotient of two Hankel forms for integer
+orders at |z| >= 30, else the quotient of two J values.  Near a zero of
+the denominator it raises PoleError, by one rule for all.  For a complex
+that arithmetic is double precision.  For an mpmath number it is the
+lane's integer kernel (``_fixed_ratio``), which takes the Hankel forms at
+every order (they terminate at half-integers): one mpmath.cos_sin(z),
+then Python ints scaled by 2^(mp.prec + FIXED_GUARD), and the result
+rounded once into an mpc at the lane's precision.
 """
 
 from __future__ import annotations
@@ -239,44 +243,72 @@ def _jv_hankel(order: float, z, target: float):
     pi/4, for Re z >= 0, in the arithmetic of z (``_hankel_pq``).
 
     A complex z is summed in double precision, which limits the result to
-    its rounding floor 4e-16 and the double range; an mpmath z at the
-    current precision, and ``target`` is not consulted.
+    its rounding floor 4e-16 and the double range; an mpmath z by the
+    lane's integer kernel (``_fixed_forms``) at the current precision, and
+    ``target`` is not consulted.
     """
-    if isinstance(z, complex):
-        if abs(z.imag) > 700.0:
-            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                                achieved=math.inf)
-        if target < 4e-16:
-            raise AccuracyError("asymptotic expansion below target accuracy",
-                                achieved=4e-16)
-        root = cmath.sqrt(2.0 / (math.pi * z))
-    else:
-        root = mpmath.sqrt(2 / (mpmath.pi * z))
+    if not isinstance(z, complex):
+        bits = mpmath.mp.prec + FIXED_GUARD
+        (form,) = _fixed_forms((order,), z, bits)
+        return mpmath.sqrt(2 / (mpmath.pi * z)) * _mpc(*form, 1 << bits)
+    if abs(z.imag) > 700.0:
+        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                            achieved=math.inf)
+    if target < 4e-16:
+        raise AccuracyError("asymptotic expansion below target accuracy",
+                            achieved=4e-16)
     cos_chi, sin_chi = _chi_cos_sin(order, z)
     p, q = _hankel_pq(order, z)
-    return root * (p * cos_chi - q * sin_chi)
+    return cmath.sqrt(2.0 / (math.pi * z)) * (p * cos_chi - q * sin_chi)
 
 
-def _cos_sin(z):
-    """cos z and sin z in the arithmetic of z (mpmath: one call, same digits)."""
-    if isinstance(z, complex):
-        return cmath.cos(z), cmath.sin(z)
-    return mpmath.cos_sin(z)
-
-
-def _chi_cos_sin(order: float, z):
-    """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi,
-    in the arithmetic of z.  They are rotated from one cos z, sin z pair
-    through theta: the rounded difference z - theta would carry a phase
-    error eps*|z|."""
-    if isinstance(z, complex):
-        theta = (0.5 * order + 0.25) * math.pi
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-    else:
-        rot = mpmath.expjpi(0.5 * order + 0.25)
-        cos_t, sin_t = rot.real, rot.imag
-    cos_z, sin_z = _cos_sin(z)
+def _chi_cos_sin(order: float, z: complex):
+    """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi.
+    They are rotated from one cos z, sin z pair through theta: the rounded
+    difference z - theta would carry a phase error eps*|z|."""
+    theta = (0.5 * order + 0.25) * math.pi
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_z, sin_z = cmath.cos(z), cmath.sin(z)
     return cos_z * cos_t + sin_z * sin_t, sin_z * cos_t - cos_z * sin_t
+
+
+def _chi(l: int) -> float:
+    """DLMF 10.17.16's chi(l) = sqrt(pi) Gamma(l/2 + 1) / Gamma(l/2 + 1/2)."""
+    return math.sqrt(math.pi) * math.exp(
+        math.lgamma(0.5 * l + 1.0) - math.lgamma(0.5 * l + 0.5))
+
+
+# chi(l) for the term counts of both lanes at the |z| they serve; a longer
+# sum computes the rest
+_CHI = tuple(_chi(l) for l in range(64))
+
+
+def _hankel_terms(order: float, az: float, bits: int) -> int:
+    """How many terms P and Q of Hankel's expansion take at |z| = az.
+
+    The sums stop before the first index l >= |order| - 1/2 at which the
+    DLMF 10.17(iv) remainder bound
+    2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
+    falls below 2^-(bits + 10); X(l) = ``_chi(l)``, and with it the bound
+    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).
+    Half-integer orders terminate exactly.  Raises AccuracyError when |z|
+    is too small for the precision, i.e. the terms start to grow first.
+    """
+    mu = 4.0 * order * order
+    tol = 2.0 ** -(bits + 10)
+    front = 2.0 * math.exp(abs(0.25 * mu - 0.25) * 0.5 * math.pi / az)
+    size = 1.0  # |a_k(order)| / |z|^k
+    k = 0
+    while True:
+        k += 1
+        step = abs(mu - (2 * k - 1) ** 2) / (8.0 * k * az)
+        size *= step
+        bound = front * (_CHI[k] if k < len(_CHI) else _chi(k)) * size
+        if k >= abs(order) - 0.5 and bound < tol:
+            return k - 1
+        if step >= 1.0 and k > abs(order) + 0.5:
+            raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
+                                % (bits, az), achieved=bound)
 
 
 def _hankel_pq(order: float, z):
@@ -284,46 +316,126 @@ def _hankel_pq(order: float, z):
     Re z >= 0: J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi).
 
     The sums run in the arithmetic of z: a complex z in double precision
-    (53 bits), an mpmath z at the current precision.  They stop before the
-    first index l >= |order| - 1/2 at which the DLMF 10.17(iv) remainder
-    bound
-    2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
-    falls below 2^-(bits + 10); X(l) = sqrt(pi) Gamma(l/2 + 1) /
-    Gamma(l/2 + 1/2) is DLMF's chi(l) (10.17.16), and with it the bound
-    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).
-    Half-integer orders terminate exactly.  Raises AccuracyError when |z|
-    is too small for the precision, i.e. the terms start to grow first.
+    (53 bits), an mpmath z in the lane's integer kernel (``_fixed_pq``) to
+    the current precision, returned as mpc.  Both take ``_hankel_terms``
+    terms, and raise its AccuracyError.
     """
-    if isinstance(z, complex):
-        bits, mu = 53, 4.0 * order * order
-    else:
-        bits, mu = mpmath.mp.prec, 4 * mpmath.mpf(order) ** 2
-    az = abs(complex(z))
-    mu_f = float(mu)
-    tol = 2.0 ** -(bits + 10)
-    front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
-    w = 1 / (8 * z)
+    if not isinstance(z, complex):
+        bits = mpmath.mp.prec + FIXED_GUARD
+        terms = _hankel_terms(order, abs(complex(z)), mpmath.mp.prec)
+        return tuple(_mpc(*v, 1 << bits)
+                     for v in _fixed_pq(order, _fixed_w(z, bits), terms, bits))
+    terms = _hankel_terms(order, abs(z), 53)
+    mu, w = 4.0 * order * order, 1 / (8 * z)
     term, p, q = 1, 1, 0
-    size = 1.0  # |a_k(order)| / |z|^k
-    k = 0
-    while True:
-        k += 1
-        step = abs(mu_f - (2 * k - 1) ** 2) / (8.0 * k * az)
-        size *= step
-        x_k = math.sqrt(math.pi) * math.exp(
-            math.lgamma(0.5 * k + 1.0) - math.lgamma(0.5 * k + 0.5))
-        bound = front * x_k * size
-        if k >= abs(order) - 0.5 and bound < tol:
-            return p, q
-        if step >= 1.0 and k > abs(order) + 0.5:
-            raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
-                                % (bits, az), achieved=bound)
+    for k in range(1, terms + 1):
         term = term * w * (mu - (2 * k - 1) ** 2) / k
         signed = -term if (k // 2) % 2 else term
         if k % 2:
             q += signed
         else:
             p += signed
+    return p, q
+
+
+# The mpmath lane's integer kernel.  After the one mpmath.cos_sin(z), whose
+# argument reduction needs mpmath, the lane's Bessel work runs on Python
+# ints holding a complex number as an (re, im) pair scaled by 2^bits, bits =
+# mp.prec + FIXED_GUARD, and no mpmath object is made until the result
+# returns as an mpc.  Products are truncated to 2^-bits, so every value
+# carries an absolute error of a few 2^-bits against pairs (cos z, sin z;
+# P ~ 1) of size one or more.  The smallest J value the ratio divides by is
+# its pole threshold, 1e-12 ~ 2^-40 of that size, so 40 guard bits keep
+# even it at the working precision.
+FIXED_GUARD = 40
+
+
+def _fixed(x, bits: int) -> int:
+    """An mpmath real as an int scaled by 2^bits."""
+    return mpmath.libmp.to_fixed(x._mpf_, bits)
+
+
+def _mpc(re: int, im: int, den: int):
+    """The mpc (re + i im)/den, each part rounded once to the working
+    precision."""
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpc((mpmath.libmp.from_rational(re, den, prec, "n"),
+                               mpmath.libmp.from_rational(im, den, prec, "n")))
+
+
+def _fixed_mul(a, b, bits: int):
+    """The product of two scaled-int complex pairs."""
+    return ((a[0] * b[0] - a[1] * b[1]) >> bits,
+            (a[0] * b[1] + a[1] * b[0]) >> bits)
+
+
+def _fixed_w(z, bits: int):
+    """w = 1/(8z) = conj(z)/(8|z|^2), Hankel's expansion variable, as a
+    scaled-int pair."""
+    x, y = _fixed(z.real, bits), _fixed(z.imag, bits)
+    norm = 8 * (x * x + y * y)
+    return (x << 2 * bits) // norm, (-y << 2 * bits) // norm
+
+
+def _fixed_pq(order: float, w, terms: int, bits: int):
+    """P and Q (``_hankel_pq``) to ``terms`` terms from w = 1/(8z).
+
+    Term k of Hankel's sums is (-1)^floor(k/2) c_k w^k with the real
+    coefficient c_k = prod_{j<=k} (mu - (2j-1)^2) / k!, mu = 4 order^2,
+    whose numerator and denominator are exact ints.  So P = sum_j c_2j t^j
+    and Q = w sum_j c_2j+1 t^j in t = -w^2, by Horner's rule: each step
+    adds one coefficient rounded once to 2^-bits and multiplies by |t| << 1,
+    which keeps the error at a few 2^-bits however large c_k grows.
+    """
+    mu = round(4.0 * order * order)
+    coeffs = [1 << bits]
+    num = den = 1
+    for k in range(1, terms + 1):
+        num *= mu - (2 * k - 1) ** 2
+        den *= k
+        coeffs.append((num << bits) // den)
+    t = _fixed_mul(w, w, bits)
+    t = (-t[0], -t[1])
+    sums = []
+    for part in (coeffs[0::2], coeffs[1::2]):
+        acc = (0, 0)
+        for c in reversed(part):
+            acc = _fixed_mul(acc, t, bits)
+            acc = (acc[0] + c, acc[1])
+        sums.append(acc)
+    return sums[0], _fixed_mul(w, sums[1], bits)
+
+
+def _fixed_forms(orders, z, bits: int):
+    """sqrt(pi z/2) J_n(z) = P_n cos chi_n - Q_n sin chi_n for each n of
+    ``orders`` (integer or half-integer), Re z >= 0, as scaled-int pairs.
+
+    The term counts come from ``_hankel_terms`` at mp.prec, first, so an
+    AccuracyError costs no work; w and cos z, sin z serve all orders.
+    chi_n = z - theta_n with theta_n = (2n + 1) pi/4, an odd or even number
+    of eighth turns, so cos theta_n and sin theta_n are 0, +-1 or
+    +-1/sqrt(2), each one int.
+    """
+    az = abs(complex(z))
+    counts = [_hankel_terms(n, az, mpmath.mp.prec) for n in orders]
+    w = _fixed_w(z, bits)
+    (cz_re, cz_im), (sz_re, sz_im) = [(_fixed(v.real, bits), _fixed(v.imag, bits))
+                                      for v in mpmath.cos_sin(z)]
+    one, root_half = 1 << bits, math.isqrt(1 << (2 * bits - 1))
+    # cos(j pi/4), j = 0..7
+    eighths = (one, root_half, 0, -root_half, -one, -root_half, 0, root_half)
+    forms = []
+    for n, count in zip(orders, counts):
+        p, q = _fixed_pq(n, w, count, bits)
+        j = round(2.0 * n + 1.0)
+        cos_t, sin_t = eighths[j % 8], eighths[(j - 2) % 8]
+        cos_chi = ((cz_re * cos_t + sz_re * sin_t) >> bits,
+                   (cz_im * cos_t + sz_im * sin_t) >> bits)
+        sin_chi = ((sz_re * cos_t - cz_re * sin_t) >> bits,
+                   (sz_im * cos_t - cz_im * sin_t) >> bits)
+        p_cos, q_sin = _fixed_mul(p, cos_chi, bits), _fixed_mul(q, sin_chi, bits)
+        forms.append((p_cos[0] - q_sin[0], p_cos[1] - q_sin[1]))
+    return forms
 
 
 def _miller_ladder(order: float, z: complex, m_start: int):
@@ -390,31 +502,31 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
 
 def _ratio(order: float, z):
     """J_{order-1}(z)/J_order(z) in the arithmetic of z: double for a
-    complex, the current mpmath precision for an mpmath number.
+    complex, the lane's integer kernel at the current mpmath precision for
+    an mpmath number (``_fixed_ratio``: the Hankel forms at every order).
 
-    Each form gives the pair up to a common factor.  Half-integer orders:
-    cos z and sin z (J_{-1/2}, J_{1/2} over sqrt(2/(pi z))), carried to the
-    order by J_{n-1} + J_{n+1} = (2n/z) J_n while |z| >= order - 1/2 (below
-    that its upward steps cancel: ten digits at order 3/2, |z| = 1e-5).
-    |z| >= ASYMPT_MIN: both Hankel forms over sqrt(2/(pi z)), sharing one
-    (cos chi, sin chi) as chi_{order-1} = chi_order + pi/2, and
-    ratio(-z) = -ratio(z) for Re z < 0.  Otherwise (double only) the two
-    ``_jv`` values.  One pole rule: PoleError with the Newton distance
-    |J_order/J_order'| when |J_order| < 1e-12 of its envelope, e^{|Im z|}
-    without sqrt(2/(pi z)) and ``_envelope`` for ``_jv``, in the arithmetic
-    of z.  A double beyond |Im z| = 700 is an AccuracyError.
+    In double, each form gives the pair up to a common factor.
+    Half-integer orders: cos z and sin z (J_{-1/2}, J_{1/2} over
+    sqrt(2/(pi z))), carried to the order by J_{n-1} + J_{n+1} = (2n/z) J_n
+    while |z| >= order - 1/2 (below that its upward steps cancel: ten
+    digits at order 3/2, |z| = 1e-5).  |z| >= ASYMPT_MIN: both Hankel forms
+    over sqrt(2/(pi z)), sharing one (cos chi, sin chi) as chi_{order-1} =
+    chi_order + pi/2, and ratio(-z) = -ratio(z) for Re z < 0.  Otherwise
+    the two ``_jv`` values.  One pole rule, in both arithmetics: PoleError
+    with the Newton distance |J_order/J_order'| when |J_order| < 1e-12 of
+    its envelope, e^{|Im z|} without sqrt(2/(pi z)) and ``_envelope`` for
+    ``_jv``.  A double beyond |Im z| = 700 is an AccuracyError.
     """
-    if isinstance(z, complex):
-        if abs(z.imag) > 700.0:
-            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                                achieved=math.inf)
-        envelope = math.exp(abs(z.imag))
-    else:
-        envelope = mpmath.exp(abs(z.imag))
-    az = abs(complex(z))
+    if not isinstance(z, complex):
+        return _fixed_ratio(order, z)
+    if abs(z.imag) > 700.0:
+        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                            achieved=math.inf)
+    envelope = math.exp(abs(z.imag))
+    az = abs(z)
     if order % 1.0 == 0.5 and az >= order - 0.5:
         # (J_{n-1}, J_n) up to a common factor, starting at n = 1/2
-        (prev, cur), n = _cos_sin(z), 0.5
+        prev, cur, n = cmath.cos(z), cmath.sin(z), 0.5
         while n > order:
             prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
         while n < order:
@@ -430,7 +542,45 @@ def _ratio(order: float, z):
         prev, cur = _jv(order - 1.0, z, 1e-8), _jv(order, z, 1e-8)
         envelope = _envelope(z)
     if abs(cur) < 1e-12 * envelope:
-        slope = prev - (order / z) * cur
-        raise PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
-                        distance=float(abs(cur / slope)) if slope != 0 else 0.0)
+        raise _pole_error(order, z, prev, cur)
     return prev / cur
+
+
+def _fixed_ratio(order: float, z):
+    """``_ratio`` for an mpmath z, by the lane's integer kernel: the two
+    Hankel forms (``_fixed_forms``, whose sums terminate at half-integer
+    orders and so give their closed form), ratio(-z) = -ratio(z) for Re z
+    < 0, the pole rule, and the quotient, an exact fraction of ints
+    rounded once into an mpc.
+
+    The pole test |J_order| < 1e-12 e^{|Im z|} is decided on the float
+    logarithm of the ints; only within a factor 4 of the threshold does it
+    run in mpmath, on the same numbers, so the same calls raise.
+    """
+    if z.real < 0:
+        return -_fixed_ratio(order, -z)
+    bits = mpmath.mp.prec + FIXED_GUARD
+    cur, prev = _fixed_forms((order, order - 1.0), z, bits)
+    norm = cur[0] * cur[0] + cur[1] * cur[1]
+    # log of |J_order| over its pole threshold 1e-12 e^{|Im z|}
+    gap = -math.inf
+    if norm:
+        gap = (0.5 * math.log(norm) - bits * math.log(2.0)
+               - abs(float(z.imag)) - math.log(1e-12))
+    near = gap < 0.0
+    if abs(gap) < math.log(4.0):
+        near = abs(_mpc(*cur, 1 << bits)) < 1e-12 * mpmath.exp(abs(z.imag))
+    if near:
+        raise _pole_error(order, z, _mpc(*prev, 1 << bits), _mpc(*cur, 1 << bits))
+    # prev/cur = prev conj(cur) / |cur|^2
+    return _mpc(prev[0] * cur[0] + prev[1] * cur[1],
+                prev[1] * cur[0] - prev[0] * cur[1], norm)
+
+
+def _pole_error(order: float, z, prev, cur) -> PoleError:
+    """The PoleError for z within tolerance of a zero of J_order, with the
+    Newton distance |J_order/J_order'|, J_order' = J_{order-1} - (order/z)
+    J_order, from the pair (prev, cur) ~ (J_{order-1}, J_order)."""
+    slope = prev - (order / z) * cur
+    return PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
+                     distance=float(abs(cur / slope)) if slope != 0 else 0.0)

@@ -528,6 +528,17 @@ class TestOperatorCache:
             with pytest.raises(ValueError):
                 diagonal[0] = 0.0
 
+    def test_cached_ramp_read_only_and_left_alone(self):
+        # a cold start copies the shared unit ramp before stepping in place
+        pot, x_lo, x_hi = sweep_potential(None)
+        ramp = eigensolve._unit_ramp(200)
+        kept = ramp.copy()
+        with pytest.raises(ValueError):
+            ramp[0] = 0.0
+        grid_sigma_min(pot, complex(1.0, -0.2), x_lo, x_hi, 200)
+        assert eigensolve._unit_ramp(200) is ramp
+        assert np.array_equal(ramp, kept)
+
     @pytest.mark.parametrize("pair", ["robin-phi", "robin-whole", "perturbation"])
     def test_distinct_potentials_distinct_operators(self, pair):
         # on one grid, each potential of the pair gets its own operator,

@@ -213,6 +213,120 @@ class TestRatio:
             bessel_j_ratio(0.5, 0.0)
 
 
+def reference_hankel_pq(order, z):
+    """Hankel's P and Q summed in mpc arithmetic at the working precision,
+    as the mpmath lane did before its integer kernel: the same stop rule,
+    with X(l) evaluated per term."""
+    bits, mu = mpmath.mp.prec, 4 * mpmath.mpf(order) ** 2
+    az, mu_f = abs(complex(z)), float(mu)
+    tol = 2.0 ** -(bits + 10)
+    front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
+    w = 1 / (8 * z)
+    term, p, q = 1, 1, 0
+    size, k = 1.0, 0
+    while True:
+        k += 1
+        step = abs(mu_f - (2 * k - 1) ** 2) / (8.0 * k * az)
+        size *= step
+        x_k = math.sqrt(math.pi) * math.exp(
+            math.lgamma(0.5 * k + 1.0) - math.lgamma(0.5 * k + 0.5))
+        if k >= abs(order) - 0.5 and front * x_k * size < tol:
+            return p, q
+        if step >= 1.0 and k > abs(order) + 0.5:
+            raise AccuracyError("reference sum diverges", achieved=front * x_k * size)
+        term = term * w * (mu - (2 * k - 1) ** 2) / k
+        signed = -term if (k // 2) % 2 else term
+        if k % 2:
+            q += signed
+        else:
+            p += signed
+
+
+def reference_pair(order, z):
+    """(J_{order-1}, J_order) up to a common factor in mpc arithmetic, for
+    Re z >= 0 at integer orders: the mpc ratio's forms."""
+    if order % 1.0 == 0.5:
+        (prev, cur), n = mpmath.cos_sin(z), 0.5
+        while n > order:
+            prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
+        while n < order:
+            prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
+        return prev, cur
+    rot = mpmath.expjpi(0.5 * order + 0.25)
+    cos_z, sin_z = mpmath.cos_sin(z)
+    cos_chi = cos_z * rot.real + sin_z * rot.imag
+    sin_chi = sin_z * rot.real - cos_z * rot.imag
+    p, q = reference_hankel_pq(order, z)
+    p_prev, q_prev = reference_hankel_pq(order - 1.0, z)
+    return -(p_prev * sin_chi + q_prev * cos_chi), p * cos_chi - q * sin_chi
+
+
+def reference_ratio(order, z):
+    """The mpmath lane's ratio in mpc arithmetic, with its pole rule, as it
+    ran before the integer kernel."""
+    if order % 1.0 != 0.5 and z.real < 0:
+        return -reference_ratio(order, -z)
+    prev, cur = reference_pair(order, z)
+    if abs(cur) < 1e-12 * mpmath.exp(abs(z.imag)):
+        slope = prev - (order / z) * cur
+        raise PoleError("reference pole", distance=float(abs(cur / slope)))
+    return prev / cur
+
+
+def ratio_outcome(ratio, order, z):
+    """("value", the complex double) or ("pole", the PoleError distance)."""
+    try:
+        return "value", complex(ratio(order, z))
+    except PoleError as err:
+        return "pole", err.distance
+
+
+class TestIntegerKernel:
+    """The mpmath lane's scaled-int kernel against the mpc arithmetic it
+    replaced."""
+
+    @pytest.mark.parametrize("dps", [34, 50])
+    @pytest.mark.parametrize("order", [-1.0, 0.0, 1.0, 2.0, -0.5, 0.5, 1.5])
+    def test_same_double_as_mpc_reference(self, order, dps):
+        # and the same value to the working precision, within the mpc
+        # arithmetic's own rounding
+        with mpmath.workdps(dps):
+            for r in (3.1e4, 1e6, 1e10, 1e17):
+                for im in (0.5, 12.5, 25.0):
+                    for z in (mpmath.mpc(r, im), mpmath.mpc(-r, im)):
+                        got = specfun.bessel_ratio_mp(order, z)
+                        want = reference_ratio(order, z)
+                        assert complex(got) == complex(want)
+                        assert abs(got - want) <= 10.0 ** (3 - dps) * abs(want)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5])
+    @pytest.mark.parametrize("factor", [0.1, 0.5, 2.0, 10.0])
+    def test_pole_rule_parity(self, order, factor):
+        # z at factor times the distance from a zero of J_order at which
+        # |J_order| meets the threshold: 0.5 and 2 are decided in mpmath,
+        # 0.1 and 10 on the integers' logarithm
+        with specfun.lane(1e5) as ops:
+            assert ops.mp
+            zero = mpmath.mpc(31831 * mpmath.pi)
+            if order == 0.0:
+                zero -= mpmath.pi / 4
+                for _ in range(6):  # Newton from McMahon's first term
+                    prev, cur = reference_pair(order, zero)
+                    zero -= cur / prev
+            prev, cur = reference_pair(order, zero)
+            assert abs(cur) < 1e-30
+            slope = prev - (order / zero) * cur
+            z = zero + factor * 1e-12 / abs(slope)
+            kernel = ratio_outcome(specfun.bessel_ratio_mp, order, z)
+            reference = ratio_outcome(reference_ratio, order, z)
+        assert kernel[0] == reference[0] == ("pole" if factor < 1.0 else "value")
+        if kernel[0] == "pole":
+            assert kernel[1] == pytest.approx(reference[1], rel=1e-6)
+            assert kernel[1] == pytest.approx(factor * 1e-12 / abs(slope), rel=1e-3)
+        else:
+            assert kernel[1] == reference[1]
+
+
 class TestInvariants:
     def test_recurrence_consistency(self, rng):
         pts = sample_args(rng, 240)
