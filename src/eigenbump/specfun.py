@@ -10,10 +10,11 @@ right half-plane:
   * ``12 < |z| < 30``  integer orders: backward (Miller) recurrence
                        normalised by the ladder sum 1 = J_0 + 2 J_2 + ...;
                        half-integer orders: Hankel's expansion, which
-                       terminates for them and so is their closed form,
-  * ``|z| >= 30``      Hankel's large-argument expansion (``_hankel_pq``),
-                       summed until its DLMF 10.17(iv) remainder bound falls
-                       below the working precision.
+                       terminates for them and so is their closed form
+                       (from |z| = order - 1/2 on, else the series),
+  * ``|z| >= 30``      Hankel's large-argument expansion, summed until its
+                       DLMF 10.17(iv) remainder bound falls below the
+                       working precision.
 
 Other orders raise InvalidArgumentError: a bump in dimension d only asks
 for orders d/2 - 1 and d/2 - 2.
@@ -23,17 +24,13 @@ precision (z = tau * a) moves its phase by more than the accuracy this
 library promises, so such arguments are delegated to arbitrary-precision
 arithmetic with the working precision scaled to the phase.  That rule is
 the package's one precision lane (``lane``): every solver whose phase can
-pass 3e4 picks its arithmetic through it.  Hankel's expansion runs in the
-arithmetic of its argument, and so does the ratio J_{n-1}(z)/J_n(z)
-(``_ratio``): the half-integer closed form (cot z at n = 1/2 and the
-three-term recurrence), the quotient of two Hankel forms for integer
-orders at |z| >= 30, else the quotient of two J values.  Near a zero of
-the denominator it raises PoleError, by one rule for all.  For a complex
-that arithmetic is double precision.  For an mpmath number it is the
-lane's integer kernel (``_fixed_ratio``), which takes the Hankel forms at
-every order (they terminate at half-integers): one mpmath.cos_sin(z),
-then Python ints scaled by 2^(mp.prec + FIXED_GUARD), and the result
-rounded once into an mpc at the lane's precision.
+pass 3e4 picks its arithmetic through it.
+
+Hankel's expansion has one evaluator for both arithmetics, an integer
+kernel (``_fixed_forms``).  The ratio J_{n-1}(z)/J_n(z) (``_ratio``) is
+the quotient of two of its forms wherever Hankel's expansion serves, and
+always in the mpmath lane; else the quotient of two J values.  Near a
+zero of the denominator it raises PoleError, by one rule for all.
 """
 
 from __future__ import annotations
@@ -190,17 +187,26 @@ def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
         raise InvalidArgumentError(
             "J_n(0) diverges for negative half-integer order %r" % (order,))
 
-    if az <= SERIES_MAX:
+    hankel = _hankel_serves(order, az)
+    if az <= SERIES_MAX or (order % 1.0 == 0.5 and not hankel):
         return _jv_series(order, z, target)
     if z.real < 0.0:
         # J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
         phase = cmath.exp(1j * math.pi * order) if z.imag >= 0.0 \
             else cmath.exp(-1j * math.pi * order)
         return phase * _jv(order, -z, target)
-    if az >= ASYMPT_MIN or order % 1.0 == 0.5:
+    if hankel:
         with lane(az) as ops:
             return complex(_jv_hankel(order, ops.lift(z), target))
     return _jv_miller(order, z, target)
+
+
+def _hankel_serves(order: float, az: float) -> bool:
+    """Whether Hankel's expansion serves order ``order`` at |z| = az in
+    double precision: an integer order from ASYMPT_MIN on; a half-integer
+    order, whose sum terminates, from |z| = order - 1/2 on, below which
+    its terms grow and cancel (ten digits at order 3/2, |z| = 1e-5)."""
+    return az >= (order - 0.5 if order % 1.0 == 0.5 else ASYMPT_MIN)
 
 
 def _jv_series(order: float, z: complex, target: float) -> complex:
@@ -240,36 +246,20 @@ def _jv_series(order: float, z: complex, target: float) -> complex:
 
 def _jv_hankel(order: float, z, target: float):
     """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
-    pi/4, for Re z >= 0, in the arithmetic of z (``_hankel_pq``).
+    pi/4, for Re z >= 0, by the integer kernel in the arithmetic of z.
 
-    A complex z is summed in double precision, which limits the result to
-    its rounding floor 4e-16 and the double range; an mpmath z by the
-    lane's integer kernel (``_fixed_forms``) at the current precision, and
+    A complex result carries the rounding of its double inputs, a floor of
+    4e-16, so a smaller ``target`` is an AccuracyError; for an mpmath z
     ``target`` is not consulted.
     """
-    if not isinstance(z, complex):
-        bits = mpmath.mp.prec + FIXED_GUARD
-        (form,) = _fixed_forms((order,), z, bits)
-        return mpmath.sqrt(2 / (mpmath.pi * z)) * _mpc(*form, 1 << bits)
-    if abs(z.imag) > 700.0:
-        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                            achieved=math.inf)
-    if target < 4e-16:
+    native = isinstance(z, complex)
+    if native and target < 4e-16:
         raise AccuracyError("asymptotic expansion below target accuracy",
                             achieved=4e-16)
-    cos_chi, sin_chi = _chi_cos_sin(order, z)
-    p, q = _hankel_pq(order, z)
-    return cmath.sqrt(2.0 / (math.pi * z)) * (p * cos_chi - q * sin_chi)
-
-
-def _chi_cos_sin(order: float, z: complex):
-    """cos chi and sin chi for chi = z - theta, theta = (order/2 + 1/4) pi.
-    They are rotated from one cos z, sin z pair through theta: the rounded
-    difference z - theta would carry a phase error eps*|z|."""
-    theta = (0.5 * order + 0.25) * math.pi
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    cos_z, sin_z = cmath.cos(z), cmath.sin(z)
-    return cos_z * cos_t + sin_z * sin_t, sin_z * cos_t - cos_z * sin_t
+    bits = _bits(z)
+    (form,) = _fixed_forms((order,), z, bits)
+    root = cmath.sqrt(2.0 / (math.pi * z)) if native else mpmath.sqrt(2 / (mpmath.pi * z))
+    return root * _rounded(*form, 1 << bits, z)
 
 
 def _chi(l: int) -> float:
@@ -286,14 +276,17 @@ _CHI = tuple(_chi(l) for l in range(64))
 def _hankel_terms(order: float, az: float, bits: int) -> int:
     """How many terms P and Q of Hankel's expansion take at |z| = az.
 
-    The sums stop before the first index l >= |order| - 1/2 at which the
-    DLMF 10.17(iv) remainder bound
+    Half-integer orders take all |order| - 1/2 terms: the sums terminate
+    there, at the closed form.  Integer orders stop before the first index
+    l >= |order| - 1/2 at which the DLMF 10.17(iv) remainder bound
     2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
     falls below 2^-(bits + 10); X(l) = ``_chi(l)``, and with it the bound
-    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).
-    Half-integer orders terminate exactly.  Raises AccuracyError when |z|
-    is too small for the precision, i.e. the terms start to grow first.
+    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).  Raises
+    AccuracyError when |z| is too small for the precision, i.e. the terms
+    start to grow first.
     """
+    if order % 1.0 == 0.5:
+        return round(abs(order) - 0.5)
     mu = 4.0 * order * order
     tol = 2.0 ** -(bits + 10)
     front = 2.0 * math.exp(abs(0.25 * mu - 0.25) * 0.5 * math.pi / az)
@@ -311,53 +304,39 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
                                 % (bits, az), achieved=bound)
 
 
-def _hankel_pq(order: float, z):
-    """P_order(z) and Q_order(z) of Hankel's expansion (DLMF 10.17.3) for
-    Re z >= 0: J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi).
-
-    The sums run in the arithmetic of z: a complex z in double precision
-    (53 bits), an mpmath z in the lane's integer kernel (``_fixed_pq``) to
-    the current precision, returned as mpc.  Both take ``_hankel_terms``
-    terms, and raise its AccuracyError.
-    """
-    if not isinstance(z, complex):
-        bits = mpmath.mp.prec + FIXED_GUARD
-        terms = _hankel_terms(order, abs(complex(z)), mpmath.mp.prec)
-        return tuple(_mpc(*v, 1 << bits)
-                     for v in _fixed_pq(order, _fixed_w(z, bits), terms, bits))
-    terms = _hankel_terms(order, abs(z), 53)
-    mu, w = 4.0 * order * order, 1 / (8 * z)
-    term, p, q = 1, 1, 0
-    for k in range(1, terms + 1):
-        term = term * w * (mu - (2 * k - 1) ** 2) / k
-        signed = -term if (k // 2) % 2 else term
-        if k % 2:
-            q += signed
-        else:
-            p += signed
-    return p, q
-
-
-# The mpmath lane's integer kernel.  After the one mpmath.cos_sin(z), whose
-# argument reduction needs mpmath, the lane's Bessel work runs on Python
-# ints holding a complex number as an (re, im) pair scaled by 2^bits, bits =
-# mp.prec + FIXED_GUARD, and no mpmath object is made until the result
-# returns as an mpc.  Products are truncated to 2^-bits, so every value
-# carries an absolute error of a few 2^-bits against pairs (cos z, sin z;
-# P ~ 1) of size one or more.  The smallest J value the ratio divides by is
-# its pole threshold, 1e-12 ~ 2^-40 of that size, so 40 guard bits keep
-# even it at the working precision.
+# The Bessel kernel of both lanes.  After cos z and sin z, whose argument
+# reduction needs the arithmetic of z (cmath, or mpmath.cos_sin), Hankel's
+# forms run on Python ints holding a complex number as an (re, im) pair
+# scaled by 2^bits, bits = (53 or mp.prec) + FIXED_GUARD (``_bits``), and
+# the result is rounded once back into that arithmetic (``_rounded``).
+# Products are truncated to 2^-bits, so every value carries an absolute
+# error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
+# or more.  The smallest form the ratio divides by is its pole threshold,
+# 1e-12 ~ 2^-40 of that size, so 40 guard bits keep even it at the
+# working precision.
 FIXED_GUARD = 40
 
 
+def _bits(z) -> int:
+    """The kernel's scale exponent for z: a complex never reads mpmath's
+    precision, so the double lane stays lock-free."""
+    return (53 if isinstance(z, complex) else mpmath.mp.prec) + FIXED_GUARD
+
+
 def _fixed(x, bits: int) -> int:
-    """An mpmath real as an int scaled by 2^bits."""
+    """A float (exactly, then floored) or an mpmath real as an int over 2^bits."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return (num << bits) // den
     return mpmath.libmp.to_fixed(x._mpf_, bits)
 
 
-def _mpc(re: int, im: int, den: int):
-    """The mpc (re + i im)/den, each part rounded once to the working
-    precision."""
+def _rounded(re: int, im: int, den: int, z):
+    """(re + i im)/den in the arithmetic of z, each part rounded once: by
+    int true division for a complex, to the working precision for an
+    mpmath number."""
+    if isinstance(z, complex):
+        return complex(re / den, im / den)
     prec = mpmath.mp.prec
     return mpmath.mp.make_mpc((mpmath.libmp.from_rational(re, den, prec, "n"),
                                mpmath.libmp.from_rational(im, den, prec, "n")))
@@ -371,21 +350,27 @@ def _fixed_mul(a, b, bits: int):
 
 def _fixed_w(z, bits: int):
     """w = 1/(8z) = conj(z)/(8|z|^2), Hankel's expansion variable, as a
-    scaled-int pair."""
-    x, y = _fixed(z.real, bits), _fixed(z.imag, bits)
+    scaled-int pair, from z scaled by 2^s: an mpmath z at s = bits, a
+    complex exactly, so that a small |z| keeps all its digits."""
+    s = bits
+    if isinstance(z, complex):
+        s = max(v.as_integer_ratio()[1] for v in (z.real, z.imag)).bit_length() - 1
+    x, y = _fixed(z.real, s), _fixed(z.imag, s)
     norm = 8 * (x * x + y * y)
-    return (x << 2 * bits) // norm, (-y << 2 * bits) // norm
+    return (x << s + bits) // norm, (-y << s + bits) // norm
 
 
 def _fixed_pq(order: float, w, terms: int, bits: int):
-    """P and Q (``_hankel_pq``) to ``terms`` terms from w = 1/(8z).
+    """P and Q of Hankel's expansion (DLMF 10.17.3) to ``terms`` terms from
+    w = 1/(8z).
 
     Term k of Hankel's sums is (-1)^floor(k/2) c_k w^k with the real
     coefficient c_k = prod_{j<=k} (mu - (2j-1)^2) / k!, mu = 4 order^2,
     whose numerator and denominator are exact ints.  So P = sum_j c_2j t^j
     and Q = w sum_j c_2j+1 t^j in t = -w^2, by Horner's rule: each step
-    adds one coefficient rounded once to 2^-bits and multiplies by |t| << 1,
-    which keeps the error at a few 2^-bits however large c_k grows.
+    adds one coefficient rounded once to 2^-bits and multiplies by t, so
+    the error stays a few 2^-bits however large c_k grows (a few 2^-bits
+    of the last term when |t| > 1, at |z| < 1/8).
     """
     mu = round(4.0 * order * order)
     coeffs = [1 << bits]
@@ -408,19 +393,26 @@ def _fixed_pq(order: float, w, terms: int, bits: int):
 
 def _fixed_forms(orders, z, bits: int):
     """sqrt(pi z/2) J_n(z) = P_n cos chi_n - Q_n sin chi_n for each n of
-    ``orders`` (integer or half-integer), Re z >= 0, as scaled-int pairs.
+    ``orders`` (integer or half-integer), Re z >= 0, as pairs scaled by
+    2^bits, bits = ``_bits(z)``.
 
-    The term counts come from ``_hankel_terms`` at mp.prec, first, so an
-    AccuracyError costs no work; w and cos z, sin z serve all orders.
-    chi_n = z - theta_n with theta_n = (2n + 1) pi/4, an odd or even number
-    of eighth turns, so cos theta_n and sin theta_n are 0, +-1 or
-    +-1/sqrt(2), each one int.
+    The term counts come from ``_hankel_terms`` first, so an AccuracyError
+    costs no work; w and cos z, sin z serve all orders.  chi_n = z -
+    theta_n with theta_n = (2n + 1) pi/4, an odd or even number of eighth
+    turns, so cos theta_n and sin theta_n are 0, +-1 or +-1/sqrt(2), each
+    one int.  A complex beyond |Im z| = 700 is an AccuracyError: its cos z
+    leaves the double range.
     """
+    native = isinstance(z, complex)
+    if native and abs(z.imag) > 700.0:
+        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                            achieved=math.inf)
     az = abs(complex(z))
-    counts = [_hankel_terms(n, az, mpmath.mp.prec) for n in orders]
+    counts = [_hankel_terms(n, az, bits - FIXED_GUARD) for n in orders]
     w = _fixed_w(z, bits)
+    cos_sin = (cmath.cos(z), cmath.sin(z)) if native else mpmath.cos_sin(z)
     (cz_re, cz_im), (sz_re, sz_im) = [(_fixed(v.real, bits), _fixed(v.imag, bits))
-                                      for v in mpmath.cos_sin(z)]
+                                      for v in cos_sin]
     one, root_half = 1 << bits, math.isqrt(1 << (2 * bits - 1))
     # cos(j pi/4), j = 0..7
     eighths = (one, root_half, 0, -root_half, -one, -root_half, 0, root_half)
@@ -457,7 +449,7 @@ def _miller_ladder(order: float, z: complex, m_start: int):
 
 
 def _jv_miller(order: float, z: complex, target: float) -> complex:
-    m_start = int(abs(z)) + 40
+    m_start = int(max(abs(z), order)) + 40
     v1 = _miller_ladder(order, z, m_start)
     v2 = _miller_ladder(order, z, m_start + 12)
     est = abs(v1 - v2) / max(abs(v2), _envelope(z), 1e-300) + 4e-16
@@ -501,65 +493,26 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
 
 
 def _ratio(order: float, z):
-    """J_{order-1}(z)/J_order(z) in the arithmetic of z: double for a
-    complex, the lane's integer kernel at the current mpmath precision for
-    an mpmath number (``_fixed_ratio``: the Hankel forms at every order).
+    """J_{order-1}(z)/J_order(z) in the arithmetic of z.
 
-    In double, each form gives the pair up to a common factor.
-    Half-integer orders: cos z and sin z (J_{-1/2}, J_{1/2} over
-    sqrt(2/(pi z))), carried to the order by J_{n-1} + J_{n+1} = (2n/z) J_n
-    while |z| >= order - 1/2 (below that its upward steps cancel: ten
-    digits at order 3/2, |z| = 1e-5).  |z| >= ASYMPT_MIN: both Hankel forms
-    over sqrt(2/(pi z)), sharing one (cos chi, sin chi) as chi_{order-1} =
-    chi_order + pi/2, and ratio(-z) = -ratio(z) for Re z < 0.  Otherwise
-    the two ``_jv`` values.  One pole rule, in both arithmetics: PoleError
-    with the Newton distance |J_order/J_order'| when |J_order| < 1e-12 of
-    its envelope, e^{|Im z|} without sqrt(2/(pi z)) and ``_envelope`` for
-    ``_jv``.  A double beyond |Im z| = 700 is an AccuracyError.
+    Where Hankel's expansion serves (``_hankel_serves``), and always for an
+    mpmath z, the two Hankel forms from the integer kernel, in which
+    sqrt(2/(pi z)) cancels: ratio(-z) = -ratio(z) for Re z < 0, then prev
+    conj(cur)/|cur|^2, an exact fraction of ints rounded once.  Otherwise
+    the quotient of two ``_jv`` values.  One pole rule: PoleError with the
+    Newton distance |J_order/J_order'| when |J_order| < 1e-12 of its
+    envelope, e^{|Im z|} for the forms and ``_envelope`` for ``_jv``.  The
+    forms' test is decided on the float log of the ints, and only within a
+    factor 4 of the threshold on the rounded form, as an exact test would.
     """
-    if not isinstance(z, complex):
-        return _fixed_ratio(order, z)
-    if abs(z.imag) > 700.0:
-        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                            achieved=math.inf)
-    envelope = math.exp(abs(z.imag))
-    az = abs(z)
-    if order % 1.0 == 0.5 and az >= order - 0.5:
-        # (J_{n-1}, J_n) up to a common factor, starting at n = 1/2
-        prev, cur, n = cmath.cos(z), cmath.sin(z), 0.5
-        while n > order:
-            prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
-        while n < order:
-            prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
-    elif az >= ASYMPT_MIN:
-        if z.real < 0:
-            return -_ratio(order, -z)
-        cos_chi, sin_chi = _chi_cos_sin(order, z)
-        p, q = _hankel_pq(order, z)
-        p_prev, q_prev = _hankel_pq(order - 1.0, z)
-        prev, cur = -(p_prev * sin_chi + q_prev * cos_chi), p * cos_chi - q * sin_chi
-    else:
+    if isinstance(z, complex) and not _hankel_serves(order, abs(z)):
         prev, cur = _jv(order - 1.0, z, 1e-8), _jv(order, z, 1e-8)
-        envelope = _envelope(z)
-    if abs(cur) < 1e-12 * envelope:
-        raise _pole_error(order, z, prev, cur)
-    return prev / cur
-
-
-def _fixed_ratio(order: float, z):
-    """``_ratio`` for an mpmath z, by the lane's integer kernel: the two
-    Hankel forms (``_fixed_forms``, whose sums terminate at half-integer
-    orders and so give their closed form), ratio(-z) = -ratio(z) for Re z
-    < 0, the pole rule, and the quotient, an exact fraction of ints
-    rounded once into an mpc.
-
-    The pole test |J_order| < 1e-12 e^{|Im z|} is decided on the float
-    logarithm of the ints; only within a factor 4 of the threshold does it
-    run in mpmath, on the same numbers, so the same calls raise.
-    """
+        if abs(cur) < 1e-12 * _envelope(z):
+            raise _pole_error(order, z, prev, cur)
+        return prev / cur
     if z.real < 0:
-        return -_fixed_ratio(order, -z)
-    bits = mpmath.mp.prec + FIXED_GUARD
+        return -_ratio(order, -z)
+    bits = _bits(z)
     cur, prev = _fixed_forms((order, order - 1.0), z, bits)
     norm = cur[0] * cur[0] + cur[1] * cur[1]
     # log of |J_order| over its pole threshold 1e-12 e^{|Im z|}
@@ -569,12 +522,13 @@ def _fixed_ratio(order: float, z):
                - abs(float(z.imag)) - math.log(1e-12))
     near = gap < 0.0
     if abs(gap) < math.log(4.0):
-        near = abs(_mpc(*cur, 1 << bits)) < 1e-12 * mpmath.exp(abs(z.imag))
+        exp = math.exp if isinstance(z, complex) else mpmath.exp
+        near = abs(_rounded(*cur, 1 << bits, z)) < 1e-12 * exp(abs(z.imag))
     if near:
-        raise _pole_error(order, z, _mpc(*prev, 1 << bits), _mpc(*cur, 1 << bits))
-    # prev/cur = prev conj(cur) / |cur|^2
-    return _mpc(prev[0] * cur[0] + prev[1] * cur[1],
-                prev[1] * cur[0] - prev[0] * cur[1], norm)
+        raise _pole_error(order, z, _rounded(*prev, 1 << bits, z),
+                          _rounded(*cur, 1 << bits, z))
+    return _rounded(prev[0] * cur[0] + prev[1] * cur[1],
+                    prev[1] * cur[0] - prev[0] * cur[1], norm, z)
 
 
 def _pole_error(order: float, z, prev, cur) -> PoleError:

@@ -90,6 +90,14 @@ class TestLane:
             assert ops.mp and mpmath.mp.dps == 47
         assert mpmath.mp.dps == before
 
+    @pytest.mark.parametrize("order", [0.5, 1.0])
+    def test_double_lane_ignores_mpmath_precision(self, order):
+        z = complex(1234.5, 0.75)
+        want = bessel_j_ratio(order, z), bessel_j(BesselQuery(order, z))
+        for prec in (20, 300):
+            with mpmath.workprec(prec):
+                assert (bessel_j_ratio(order, z), bessel_j(BesselQuery(order, z))) == want
+
     def test_upper_sqrt_picks_decaying_root(self):
         assert specfun.upper_sqrt(complex(-4.0, -0.0)) == 2j
         assert specfun.upper_sqrt(complex(3.0, -4.0)) == complex(-2.0, 1.0)
@@ -187,9 +195,11 @@ class TestRatio:
     @pytest.mark.parametrize("order,z", [
         (1.5, 1e-5 + 0j), (1.5, 1e-3 + 1e-3j), (1.5, 0.5 + 0.2j),
         (1.5, 1.0 + 0.1j), (2.5, 0.05 + 0.01j), (2.5, 2.0 + 0.1j),
-        (9.5, 3.0 + 0.5j), (9.5, 9.0 + 0.1j), (9.5, 12.5 + 0.5j)])
+        (9.5, 3.0 + 0.5j), (9.5, 9.0 + 0.1j), (9.5, 12.5 + 0.5j),
+        (-0.5, 1e-20 + 0j), (-0.5, 3e-12 + 1e-12j), (-1.5, 1e-3 + 1e-3j)])
     def test_half_integer_small_argument(self, order, z):
-        # upward recurrence steps would cancel below |z| ~ order
+        # upward recurrence steps would cancel below |z| ~ order; negative
+        # orders keep every digit of a small z in Hankel's w = 1/(8z)
         want = mp_j(order - 1.0, z) / mp_j(order, z)
         assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-14)
 
@@ -214,10 +224,13 @@ class TestRatio:
 
 
 def reference_hankel_pq(order, z):
-    """Hankel's P and Q summed in mpc arithmetic at the working precision,
-    as the mpmath lane did before its integer kernel: the same stop rule,
-    with X(l) evaluated per term."""
-    bits, mu = mpmath.mp.prec, 4 * mpmath.mpf(order) ** 2
+    """Hankel's P and Q summed in the arithmetic of z, as both lanes did
+    before the integer kernel: double for a complex (53 bits), mpc at the
+    working precision for an mpmath number; the same stop rule, with X(l)
+    evaluated per term."""
+    native = isinstance(z, complex)
+    bits = 53 if native else mpmath.mp.prec
+    mu = 4.0 * order * order if native else 4 * mpmath.mpf(order) ** 2
     az, mu_f = abs(complex(z)), float(mu)
     tol = 2.0 ** -(bits + 10)
     front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
@@ -243,31 +256,42 @@ def reference_hankel_pq(order, z):
 
 
 def reference_pair(order, z):
-    """(J_{order-1}, J_order) up to a common factor in mpc arithmetic, for
-    Re z >= 0 at integer orders: the mpc ratio's forms."""
+    """(J_{order-1}, J_order) up to a common factor in the arithmetic of z,
+    for Re z >= 0 at integer orders: the forms of the ratio before the
+    integer kernel.  Half-integer orders: the cos/sin pair carried by the
+    three-term recurrence (in double only valid for |z| >= order - 1/2);
+    integer orders: two Hankel forms sharing one theta rotation."""
+    native = isinstance(z, complex)
+    cos_z, sin_z = (cmath.cos(z), cmath.sin(z)) if native else mpmath.cos_sin(z)
     if order % 1.0 == 0.5:
-        (prev, cur), n = mpmath.cos_sin(z), 0.5
+        prev, cur, n = cos_z, sin_z, 0.5
         while n > order:
             prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
         while n < order:
             prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
         return prev, cur
-    rot = mpmath.expjpi(0.5 * order + 0.25)
-    cos_z, sin_z = mpmath.cos_sin(z)
-    cos_chi = cos_z * rot.real + sin_z * rot.imag
-    sin_chi = sin_z * rot.real - cos_z * rot.imag
+    if native:
+        theta = (0.5 * order + 0.25) * math.pi
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+    else:
+        rot = mpmath.expjpi(0.5 * order + 0.25)
+        cos_t, sin_t = rot.real, rot.imag
+    cos_chi = cos_z * cos_t + sin_z * sin_t
+    sin_chi = sin_z * cos_t - cos_z * sin_t
     p, q = reference_hankel_pq(order, z)
     p_prev, q_prev = reference_hankel_pq(order - 1.0, z)
     return -(p_prev * sin_chi + q_prev * cos_chi), p * cos_chi - q * sin_chi
 
 
 def reference_ratio(order, z):
-    """The mpmath lane's ratio in mpc arithmetic, with its pole rule, as it
-    ran before the integer kernel."""
+    """The ratio in the arithmetic of z, with its pole rule, as it ran
+    before the integer kernel (for a complex: at half-integer orders with
+    |z| >= order - 1/2 and at |z| >= 30)."""
     if order % 1.0 != 0.5 and z.real < 0:
         return -reference_ratio(order, -z)
     prev, cur = reference_pair(order, z)
-    if abs(cur) < 1e-12 * mpmath.exp(abs(z.imag)):
+    exp = math.exp if isinstance(z, complex) else mpmath.exp
+    if abs(cur) < 1e-12 * exp(abs(z.imag)):
         slope = prev - (order / z) * cur
         raise PoleError("reference pole", distance=float(abs(cur / slope)))
     return prev / cur
@@ -281,9 +305,60 @@ def ratio_outcome(ratio, order, z):
         return "pole", err.distance
 
 
+def desk_arguments():
+    """Inner arguments tau * a of desk bumps for d = 1, 2, 3 up to the
+    native ceiling, from |z| ~ 0.8 on."""
+    points = []
+    for d in (1, 2, 3):
+        for n in range(1, 6):
+            nu = math.sqrt(float(enumerate_targets(n).q))
+            for m in (0, 1, 3, 8, 30, 100, 300, 1000, 3000, 9000, 9540):
+                a = radius_for_index(d, nu, m)
+                z = complex(nu, solve_eta(nu, a)) * a
+                if abs(z) <= specfun.NATIVE_MAX:
+                    points.append(z)
+    return points
+
+
 class TestIntegerKernel:
-    """The mpmath lane's scaled-int kernel against the mpc arithmetic it
+    """The scaled-int kernel against the mpc and double arithmetic it
     replaced."""
+
+    @pytest.mark.parametrize("order", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_double_lane_matches_recurrence_and_sums(self, order):
+        band = [complex(sign * math.sqrt(r * r - im * im), im)
+                for r in (30.0, 1e2, 1e3, 1e4, 3e4) for im in (10.0, 0.5, -4.0)
+                for sign in (1.0, -1.0)]
+        checked = 0
+        for z in desk_arguments() + band:
+            if abs(z) < (order - 0.5 if order % 1.0 == 0.5 else 30.0):
+                continue  # the _jv quotient, the same code before and after
+            want = reference_ratio(order, z)
+            assert abs(bessel_j_ratio(order, z) - want) <= 1e-15 * abs(want)
+            checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("order", [0.0, 0.5])
+    @pytest.mark.parametrize("factor", [0.1, 0.5, 2.0, 10.0])
+    def test_double_pole_rule_parity(self, order, factor):
+        # z at factor times the threshold distance, in Im z, from a zero of
+        # J_order: of J_{1/2} at 100 pi, and of J_0 near |z| = 1e3
+        with mpmath.workdps(30):
+            zero = mpmath.mpc(100 * mpmath.pi)
+            if order == 0.0:
+                zero = mpmath.mpc(318 * mpmath.pi - mpmath.pi / 4)
+                for _ in range(6):  # Newton from McMahon's first term
+                    prev, cur = reference_pair(order, zero)
+                    zero -= cur / prev
+            prev, cur = reference_pair(order, zero)
+            z = complex(float(zero.real), factor * 1e-12 / float(abs(prev)))
+            distance = float(abs(mpmath.mpc(z) - zero))
+        kernel = ratio_outcome(bessel_j_ratio, order, z)
+        reference = ratio_outcome(reference_ratio, order, z)
+        assert kernel[0] == reference[0] == ("pole" if factor < 1.0 else "value")
+        assert kernel[1] == pytest.approx(reference[1], rel=1e-3)
+        if kernel[0] == "pole":
+            assert kernel[1] == pytest.approx(distance, rel=1e-2)
 
     @pytest.mark.parametrize("dps", [34, 50])
     @pytest.mark.parametrize("order", [-1.0, 0.0, 1.0, 2.0, -0.5, 0.5, 1.5])
@@ -392,9 +467,9 @@ class TestInvariants:
 
 
 class TestHankelBand:
-    """Hankel's expansion, one sum serving both lanes, from |z| = 30 up to
-    the native ceiling, and from |z| = 12 for half-integer orders, where
-    it terminates."""
+    """Hankel's expansion, one integer kernel serving both lanes, from |z| =
+    30 up to the native ceiling, and from |z| = 12 for half-integer orders,
+    where it terminates."""
 
     @pytest.mark.parametrize("order", [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
     def test_half_integer_closed_form_below_30(self, order):
@@ -418,13 +493,21 @@ class TestHankelBand:
 
     @pytest.mark.parametrize("order", [-1.0, -0.5, 0.0, 1.0, 1.5, 2.0])
     def test_double_sum_matches_mp_sum(self, order):
+        # the one kernel in both arithmetics
         for z in (complex(30.0, 0.5), complex(1e3, -10.0), complex(3e4, 2.0)):
-            p_c, q_c = specfun._hankel_pq(order, z)
+            native = specfun._jv_hankel(order, z, 1e-12)
             # 20 digits: at |z| = 30 the expansion cannot reach 34
             with mpmath.workdps(20):
-                p_mp, q_mp = specfun._hankel_pq(order, mpmath.mpc(z))
-            assert abs(p_c - complex(p_mp)) <= 1e-15
-            assert abs(q_c - complex(q_mp)) <= 1e-15
+                extended = complex(specfun._jv_hankel(order, mpmath.mpc(z), 1e-12))
+            assert abs(native - extended) <= 1e-15 * abs(extended)
+
+    @pytest.mark.parametrize("order,z,target", [
+        (40.5, 13.0 + 0j, 1e-12), (20.5, 13.0 + 1.0j, 1e-10),
+        (30.5, 25.0 + 2.0j, 1e-12), (40.5, 35.0 + 0.5j, 1e-12)])
+    def test_half_integer_below_closed_form_takes_series(self, order, z, target):
+        # below |z| = order - 1/2 the terminating sum's terms grow and cancel
+        got = bessel_j(BesselQuery(order, z, target))
+        assert got == pytest.approx(mp_j(order, z), rel=1e-13)
 
     def test_target_below_rounding_floor_refused(self):
         with pytest.raises(AccuracyError) as err:
@@ -517,8 +600,15 @@ class TestErrors:
         # 34 digits: the sum must fail instead of returning it
         with mpmath.workdps(34):
             with pytest.raises(AccuracyError) as err:
-                specfun._hankel_pq(0.0, mpmath.mpc(5.0, 1.0))
+                specfun.bessel_ratio_mp(0.0, mpmath.mpc(5.0, 1.0))
         assert err.value.achieved > 1e-34
+
+    @pytest.mark.parametrize("order", [62.0, 100.0])
+    @pytest.mark.parametrize("z", [20.0 + 0j, 29.0 + 1.0j])
+    def test_miller_ladder_starts_above_order(self, order, z):
+        # a ladder started at |z| + 40 would not reach the order
+        got = bessel_j(BesselQuery(order, z))
+        assert got == pytest.approx(mp_j(order, z), rel=1e-12)
 
     @pytest.mark.parametrize("z", [0.5 + 0.1j, 20.0 + 1.0j, 1e3 + 1.0j,
                                    1e5 + 1.0j])
