@@ -378,9 +378,12 @@ def _validate(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("EIGENBUMP_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("EIGENBUMP_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print("error: EIGENBUMP_LOG must name a logging level, got %r" % level,
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     problem = _validate(args)

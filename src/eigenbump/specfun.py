@@ -1,36 +1,32 @@
 """Bessel functions J_n of the first kind, integer and half-integer order,
 complex argument.
 
-Evaluation strategy, chosen by |z| after Re z < 0 is rotated into the
-right half-plane:
+J has two expansions, both summed on Python ints scaled by 2^bits and
+rounded once:
 
-  * ``|z| <= 12``      ascending power series, accumulated in extended
-                       (80-bit) precision to absorb the alternating-series
-                       cancellation,
-  * ``12 < |z| < 30``  integer orders: backward (Miller) recurrence
-                       normalised by the ladder sum 1 = J_0 + 2 J_2 + ...;
-                       half-integer orders: Hankel's expansion, which
-                       terminates for them and so is their closed form
-                       (from |z| = order - 1/2 on, else the series),
-  * ``|z| >= 30``      Hankel's large-argument expansion, summed until its
-                       DLMF 10.17(iv) remainder bound falls below the
-                       working precision.
+  * the ascending series (DLMF 10.2.2) below Hankel's band, with enough
+    bits that its e^|z| cancellation still leaves double precision,
+  * Hankel's large-argument expansion (DLMF 10.17.3) from its band on
+    (``_hankel_serves``): integer orders from |z| = max(30, |order| + 15),
+    half-integer orders, whose sum terminates at their closed form, from
+    |z| = order - 1/2.
 
 Other orders raise InvalidArgumentError: a bump in dimension d only asks
 for orders d/2 - 1 and d/2 - 2.
 
-Beyond ``|z| ~ 3e4`` the rounding of an argument formed in double
-precision (z = tau * a) moves its phase by more than the accuracy this
-library promises, so such arguments are delegated to arbitrary-precision
-arithmetic with the working precision scaled to the phase.  That rule is
-the package's one precision lane (``lane``): every solver whose phase can
-pass 3e4 picks its arithmetic through it.
+A double argument is exact, and libm reduces its cos and sin to below an
+ulp at any size, so ``bessel_j`` and ``bessel_j_ratio`` run in double
+precision at every |z|.  A caller that forms a phase from a product
+(z = tau * a beyond ``|z| ~ 3e4``) would round it by more than the
+accuracy this library promises; such callers pick their arithmetic
+through the package's one precision lane (``lane``), which delegates to
+mpmath with the working precision scaled to the phase.
 
 Hankel's expansion has one evaluator for both arithmetics, an integer
 kernel (``_fixed_forms``).  The ratio J_{n-1}(z)/J_n(z) (``_ratio``) is
 the quotient of two of its forms wherever Hankel's expansion serves, and
-always in the mpmath lane; else the quotient of two J values.  Near a
-zero of the denominator it raises PoleError, by one rule for all.
+always in the mpmath lane; else the quotient of two series values.  Near
+a zero of the denominator it raises PoleError, by one rule for all.
 """
 
 from __future__ import annotations
@@ -42,23 +38,18 @@ import threading
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .errors import AccuracyError, InvalidArgumentError, PoleError
 
-SERIES_MAX = 12.0
 ASYMPT_MIN = 30.0
-# largest phase (here |z|) evaluated in double precision; above this the
-# phase error eps*|z| of a rounded argument would exceed ~1e-11
+# largest phase a ``lane`` caller forms in double precision; above this
+# the phase error eps*scale of a rounded product would exceed ~1e-11
 NATIVE_MAX = 3.0e4
 
 # mpmath's working precision is process-global; every extended-precision
 # block in the package takes this (reentrant) lock so the native double
 # lane stays freely concurrent
 MP_LOCK = threading.RLock()
-
-_EPS_LD = float(np.finfo(np.longdouble).eps)
-_TINY_LD = np.clongdouble(1e-280)
 
 
 def upper_sqrt(w: complex) -> complex:
@@ -102,8 +93,9 @@ def lane(scale: float):
 
     Up to NATIVE_MAX this yields the double-precision ops.  Beyond it
     yields the mpmath ops, holding MP_LOCK with the working precision at
-    30 + log10(scale) digits, so that the eps*scale phase error of
-    argument reduction stays far below every tolerance.  Both carry
+    30 + log10(scale) digits, so that a phase formed from a product
+    (tau * a, kappa * L) keeps an error far below every tolerance; a
+    double argument alone is exact and needs no lane.  Both carry
     ``sqrt``, ``exp``, ``lift`` (into the lane), ``bessel_ratio`` and the
     flag ``mp``; ``complex`` takes a lane number back to double.
     """
@@ -162,10 +154,11 @@ def bessel_j(query: BesselQuery) -> complex:
 def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
     """J_order(z) to a relative tolerance ``target``.
 
-    The branch is chosen by |z| as the module docstring describes; Re z < 0
-    is first rotated into the right half-plane, where the large-argument
-    expansion keeps full accuracy.  In the mpmath lane ``target`` is not
-    consulted.
+    Hankel's kernel where ``_hankel_serves``, with Re z < 0 first rotated
+    into the right half-plane, where its remainder bound holds; the series
+    elsewhere.  Either result carries the rounding of its double inputs, a
+    floor of 4e-16 of ``_envelope``, so a smaller ``target`` is an
+    AccuracyError.
     """
     if not (math.isfinite(order) and cmath.isfinite(z)):
         raise InvalidArgumentError("bessel_j requires finite order and argument")
@@ -186,80 +179,70 @@ def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
             return 0.0 + 0.0j
         raise InvalidArgumentError(
             "J_n(0) diverges for negative half-integer order %r" % (order,))
-
-    hankel = _hankel_serves(order, az)
-    if az <= SERIES_MAX or (order % 1.0 == 0.5 and not hankel):
-        return _jv_series(order, z, target)
+    if target < 4e-16:
+        raise AccuracyError("J_n below the rounding floor of its double inputs",
+                            achieved=4e-16)
+    if not _hankel_serves(order, az):
+        return _jv_series(order, z)
     if z.real < 0.0:
         # J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
         phase = cmath.exp(1j * math.pi * order) if z.imag >= 0.0 \
             else cmath.exp(-1j * math.pi * order)
-        return phase * _jv(order, -z, target)
-    if hankel:
-        with lane(az) as ops:
-            return complex(_jv_hankel(order, ops.lift(z), target))
-    return _jv_miller(order, z, target)
+        return phase * _jv_hankel(order, -z)
+    return _jv_hankel(order, z)
 
 
 def _hankel_serves(order: float, az: float) -> bool:
     """Whether Hankel's expansion serves order ``order`` at |z| = az in
-    double precision: an integer order from ASYMPT_MIN on; a half-integer
+    double precision: an integer order from max(ASYMPT_MIN, |order| + 15)
+    on, where its terms fall below 2^-63 before they grow; a half-integer
     order, whose sum terminates, from |z| = order - 1/2 on, below which
     its terms grow and cancel (ten digits at order 3/2, |z| = 1e-5)."""
-    return az >= (order - 0.5 if order % 1.0 == 0.5 else ASYMPT_MIN)
+    if order % 1.0 == 0.5:
+        return az >= order - 0.5
+    return az >= max(ASYMPT_MIN, abs(order) + 15.0)
 
 
-def _jv_series(order: float, z: complex, target: float) -> complex:
-    """Ascending series, extended-precision accumulation.
+def _jv_series(order: float, z: complex) -> complex:
+    """The ascending series (DLMF 10.2.2) on scaled ints.
 
-    J_n(z) = (z/2)^n / Gamma(n+1) * sum_k prod_{i<=k} [-(z^2/4)/(i(n+i))].
-    The scale factor is applied once at the end, so its rounding is not
-    amplified by the alternating sum.
+    J_n(z) = (z/2)^n / Gamma(n+1) * S, with S = sum_k t_k, t_0 = 1 and
+    t_k = t_(k-1) (-z^2/2) / (k (2n + 2k)), each term floored once from
+    the exact z.  The terms reach e^|z| before they cancel to J ~
+    e^|Im z|, so S runs at bits = 53 + FIXED_GUARD + ceil(|z| log2 e):
+    its truncations then stay far below an ulp of ``_envelope``.  The sum
+    stops at the first term below 2^-bits, and the front factor is
+    applied once in double.
     """
-    zl = np.clongdouble(z.real) + 1j * np.clongdouble(z.imag)
-    q = -(zl * zl) / 4.0
-    term = np.clongdouble(1.0) + 0j
-    total = term
-    max_abs = float(abs(term))
-    converged = False
-    for k in range(1, 500):
-        term = term * q / np.clongdouble(k * (order + k))
-        total = total + term
-        max_abs = max(max_abs, float(abs(term)))
-        if abs(term) <= 0.1 * _EPS_LD * abs(total):
-            converged = True
-            break
-    if not converged:
-        raise AccuracyError("bessel series did not converge", achieved=float(abs(term)))
-
-    scale_mag = _recip_gamma(order + 1.0)
-    front = cmath.exp(order * cmath.log(z / 2.0)) * scale_mag
-    # measure cancellation against the natural magnitude of J as well:
-    # right at a zero the value-relative error is unbounded for any fixed
-    # precision, but the absolute result is still good to eps * max term
-    floor = _envelope(z) / max(abs(front), 1e-300)
-    est = _EPS_LD * max_abs / max(float(abs(total)), floor, 1e-300) + 4e-16
-    if est > target:
-        raise AccuracyError("bessel series cancellation too severe", achieved=est)
-    return complex(total) * front
+    x, y, s = _exact(z)
+    bits = 53 + FIXED_GUARD + math.ceil(abs(z) / math.log(2.0))
+    # -z^2/2 = (vr + i vi) / 2^(2s + 1), so a term times it over den is
+    # one floor division by den 2^(2s + 1)
+    vr, vi, scale = y * y - x * x, -2 * x * y, 2 * s + 1
+    two_n = round(2.0 * order)
+    tr, ti = 1 << bits, 0
+    total_re, total_im = tr, ti
+    k = 0
+    while abs(tr) > 1 or abs(ti) > 1:
+        k += 1
+        den = k * (two_n + 2 * k) << scale
+        tr, ti = (tr * vr - ti * vi) // den, (tr * vi + ti * vr) // den
+        total_re += tr
+        total_im += ti
+    try:
+        front = cmath.exp(order * cmath.log(z / 2.0)) * _recip_gamma(order + 1.0)
+        return _rounded(total_re, total_im, 1 << bits, z) * front
+    except OverflowError as exc:  # Gamma(n + 1) beyond n = 170, or a huge S
+        raise AccuracyError("J_%g(z) series leaves the double range" % order,
+                            achieved=math.inf) from exc
 
 
-def _jv_hankel(order: float, z, target: float):
+def _jv_hankel(order: float, z: complex) -> complex:
     """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
-    pi/4, for Re z >= 0, by the integer kernel in the arithmetic of z.
-
-    A complex result carries the rounding of its double inputs, a floor of
-    4e-16, so a smaller ``target`` is an AccuracyError; for an mpmath z
-    ``target`` is not consulted.
-    """
-    native = isinstance(z, complex)
-    if native and target < 4e-16:
-        raise AccuracyError("asymptotic expansion below target accuracy",
-                            achieved=4e-16)
+    pi/4, for a double z with Re z >= 0, by the integer kernel."""
     bits = _bits(z)
     (form,) = _fixed_forms((order,), z, bits)
-    root = cmath.sqrt(2.0 / (math.pi * z)) if native else mpmath.sqrt(2 / (mpmath.pi * z))
-    return root * _rounded(*form, 1 << bits, z)
+    return cmath.sqrt(2.0 / (math.pi * z)) * _rounded(*form, 1 << bits, z)
 
 
 def _chi(l: int) -> float:
@@ -304,7 +287,7 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
                                 % (bits, az), achieved=bound)
 
 
-# The Bessel kernel of both lanes.  After cos z and sin z, whose argument
+# The Hankel kernel of both lanes.  After cos z and sin z, whose argument
 # reduction needs the arithmetic of z (cmath, or mpmath.cos_sin), Hankel's
 # forms run on Python ints holding a complex number as an (re, im) pair
 # scaled by 2^bits, bits = (53 or mp.prec) + FIXED_GUARD (``_bits``), and
@@ -313,7 +296,7 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
 # error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
 # or more.  The smallest form the ratio divides by is its pole threshold,
 # 1e-12 ~ 2^-40 of that size, so 40 guard bits keep even it at the
-# working precision.
+# working precision.  The series (``_jv_series``) runs on the same ints.
 FIXED_GUARD = 40
 
 
@@ -342,6 +325,12 @@ def _rounded(re: int, im: int, den: int, z):
                                mpmath.libmp.from_rational(im, den, prec, "n")))
 
 
+def _exact(z: complex):
+    """A complex as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
+    s = max(v.as_integer_ratio()[1] for v in (z.real, z.imag)).bit_length() - 1
+    return _fixed(z.real, s), _fixed(z.imag, s), s
+
+
 def _fixed_mul(a, b, bits: int):
     """The product of two scaled-int complex pairs."""
     return ((a[0] * b[0] - a[1] * b[1]) >> bits,
@@ -352,10 +341,10 @@ def _fixed_w(z, bits: int):
     """w = 1/(8z) = conj(z)/(8|z|^2), Hankel's expansion variable, as a
     scaled-int pair, from z scaled by 2^s: an mpmath z at s = bits, a
     complex exactly, so that a small |z| keeps all its digits."""
-    s = bits
     if isinstance(z, complex):
-        s = max(v.as_integer_ratio()[1] for v in (z.real, z.imag)).bit_length() - 1
-    x, y = _fixed(z.real, s), _fixed(z.imag, s)
+        x, y, s = _exact(z)
+    else:
+        x, y, s = _fixed(z.real, bits), _fixed(z.imag, bits), bits
     norm = 8 * (x * x + y * y)
     return (x << s + bits) // norm, (-y << s + bits) // norm
 
@@ -370,8 +359,11 @@ def _fixed_pq(order: float, w, terms: int, bits: int):
     and Q = w sum_j c_2j+1 t^j in t = -w^2, by Horner's rule: each step
     adds one coefficient rounded once to 2^-bits and multiplies by t, so
     the error stays a few 2^-bits however large c_k grows (a few 2^-bits
-    of the last term when |t| > 1, at |z| < 1/8).
+    of the last term when |t| > 1, at |z| < 1/8).  With no terms P = 1
+    and Q = 0 exactly, and w is not read.
     """
+    if not terms:
+        return (1 << bits, 0), (0, 0)
     mu = round(4.0 * order * order)
     coeffs = [1 << bits]
     num = den = 1
@@ -397,11 +389,12 @@ def _fixed_forms(orders, z, bits: int):
     2^bits, bits = ``_bits(z)``.
 
     The term counts come from ``_hankel_terms`` first, so an AccuracyError
-    costs no work; w and cos z, sin z serve all orders.  chi_n = z -
-    theta_n with theta_n = (2n + 1) pi/4, an odd or even number of eighth
-    turns, so cos theta_n and sin theta_n are 0, +-1 or +-1/sqrt(2), each
-    one int.  A complex beyond |Im z| = 700 is an AccuracyError: its cos z
-    leaves the double range.
+    costs no work; w (formed only if some count is not 0) and cos z,
+    sin z serve all orders.  chi_n = z - theta_n with theta_n = (2n + 1)
+    pi/4, an odd or even number of eighth turns, so cos theta_n and
+    sin theta_n are 0, +-1 or +-1/sqrt(2), each one int.  A complex
+    beyond |Im z| = 700 is an AccuracyError: its cos z leaves the double
+    range.
     """
     native = isinstance(z, complex)
     if native and abs(z.imag) > 700.0:
@@ -409,7 +402,7 @@ def _fixed_forms(orders, z, bits: int):
                             achieved=math.inf)
     az = abs(complex(z))
     counts = [_hankel_terms(n, az, bits - FIXED_GUARD) for n in orders]
-    w = _fixed_w(z, bits)
+    w = _fixed_w(z, bits) if any(counts) else None
     cos_sin = (cmath.cos(z), cmath.sin(z)) if native else mpmath.cos_sin(z)
     (cz_re, cz_im), (sz_re, sz_im) = [(_fixed(v.real, bits), _fixed(v.imag, bits))
                                       for v in cos_sin]
@@ -430,42 +423,14 @@ def _fixed_forms(orders, z, bits: int):
     return forms
 
 
-def _miller_ladder(order: float, z: complex, m_start: int):
-    """One backward-recurrence pass; returns the normalised J_order for an
-    integer order >= 0.
-
-    Recurses J_{n-1} = (2n / z) J_n - J_{n+1} down from order ``m_start``
-    and rescales with the ladder sum 1 = J_0 + 2 J_2 + 2 J_4 + ...
-    """
-    zl = np.clongdouble(z.real) + 1j * np.clongdouble(z.imag)
-    vals = np.zeros(m_start + 2, dtype=np.clongdouble)
-    vals[m_start] = _TINY_LD
-    for j in range(m_start, 0, -1):
-        vals[j - 1] = (2.0 * j / zl) * vals[j] - vals[j + 1]
-    s = vals[0].copy()
-    for k in range(2, m_start + 1, 2):
-        s = s + 2.0 * vals[k]
-    return complex(vals[int(order)] * ((1 + 0j) / s))
-
-
-def _jv_miller(order: float, z: complex, target: float) -> complex:
-    m_start = int(max(abs(z), order)) + 40
-    v1 = _miller_ladder(order, z, m_start)
-    v2 = _miller_ladder(order, z, m_start + 12)
-    est = abs(v1 - v2) / max(abs(v2), _envelope(z), 1e-300) + 4e-16
-    if est > target:
-        raise AccuracyError("backward recurrence below target accuracy", achieved=est)
-    return v2
-
-
 def _envelope(z: complex) -> float:
     """Typical magnitude of J_n at z for the small orders used here."""
     return math.sqrt(2.0 / (math.pi * max(abs(z), 0.3))) * math.exp(abs(z.imag))
 
 
 def bessel_j_ratio(order: float, z: complex) -> complex:
-    """J_{order-1}(z) / J_order(z) in double precision (``_ratio``);
-    beyond NATIVE_MAX, ``bessel_ratio_mp`` at the lane's precision.
+    """J_{order-1}(z) / J_order(z) in double precision (``_ratio``), at
+    every |z|: the argument is exact, and libm reduces its phase.
 
     Raises PoleError (with a Newton distance estimate) when z sits within
     working tolerance of a zero of J_order, InvalidArgumentError for an
@@ -478,12 +443,8 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
             "bessel_j_ratio takes integer and half-integer orders only, got %r"
             % (order,))
     z = complex(z)
-    az = abs(z)
-    if az == 0.0:
+    if z == 0.0:
         raise InvalidArgumentError("ratio undefined at z = 0")
-    with lane(az) as ops:
-        if ops.mp:
-            return complex(bessel_ratio_mp(order, mpmath.mpc(z)))
     return _ratio(order, z)
 
 
@@ -495,8 +456,8 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
 def _ratio(order: float, z):
     """J_{order-1}(z)/J_order(z) in the arithmetic of z.
 
-    Where Hankel's expansion serves (``_hankel_serves``), and always for an
-    mpmath z, the two Hankel forms from the integer kernel, in which
+    Where Hankel's expansion serves both orders (``_hankel_serves``), and
+    always for an mpmath z, the two Hankel forms from the integer kernel, in which
     sqrt(2/(pi z)) cancels: ratio(-z) = -ratio(z) for Re z < 0, then prev
     conj(cur)/|cur|^2, an exact fraction of ints rounded once.  Otherwise
     the quotient of two ``_jv`` values.  One pole rule: PoleError with the
@@ -505,8 +466,9 @@ def _ratio(order: float, z):
     forms' test is decided on the float log of the ints, and only within a
     factor 4 of the threshold on the rounded form, as an exact test would.
     """
-    if isinstance(z, complex) and not _hankel_serves(order, abs(z)):
-        prev, cur = _jv(order - 1.0, z, 1e-8), _jv(order, z, 1e-8)
+    if isinstance(z, complex) and not all(
+            _hankel_serves(n, abs(z)) for n in (order, order - 1.0)):
+        prev, cur = _jv(order - 1.0, z), _jv(order, z)
         if abs(cur) < 1e-12 * _envelope(z):
             raise _pole_error(order, z, prev, cur)
         return prev / cur

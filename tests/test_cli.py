@@ -82,6 +82,14 @@ class TestBumpCommand:
         assert code == 2
         assert "--m-cap must be >= 0" in capsys.readouterr().err
 
+    def test_unknown_log_level_is_validation_error(self, monkeypatch, capsys):
+        # logging's own "Unknown level" ValueError would be a traceback
+        monkeypatch.setenv("EIGENBUMP_LOG", "verbose")
+        code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
+                    "--eps", "0.5", "--delta", "0.5", "--r", "0.1"])
+        assert code == 2
+        assert "error: EIGENBUMP_LOG must name a logging level" in capsys.readouterr().err
+
 
 class TestConstructCommand:
     def test_zero_steps_empty_ledger(self, tmp_path, capsys):

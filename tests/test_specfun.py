@@ -1,14 +1,17 @@
 """Bessel evaluator against closed forms, identities and mpmath."""
 
 import cmath
+import functools
 import math
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
 from eigenbump import specfun
-from eigenbump.bump import eigenfunction_eval, radius_for_index, solve_eta
+from eigenbump.bump import (boundary_wavenumber, eigenfunction_eval, radius_for_index,
+                           solve_eta)
 from eigenbump.construct import build, enumerate_targets
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
@@ -97,6 +100,35 @@ class TestLane:
         for prec in (20, 300):
             with mpmath.workprec(prec):
                 assert (bessel_j_ratio(order, z), bessel_j(BesselQuery(order, z))) == want
+
+    def test_double_argument_beyond_native_max_takes_no_lock(self):
+        # a double argument is exact, so only callers that form a phase
+        # from a product enter the mpmath lane and its lock
+        z = complex(1e6, 1.0)
+        held, release, results = threading.Event(), threading.Event(), []
+
+        def hold():
+            with specfun.MP_LOCK:
+                held.set()
+                release.wait(60.0)
+
+        def evaluate():
+            results.append(bessel_j(BesselQuery(0.5, z)))
+            results.append(bessel_j_ratio(0.5, z))
+
+        holder = threading.Thread(target=hold)
+        worker = threading.Thread(target=evaluate, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            worker.start()
+            worker.join(10.0)
+            assert not worker.is_alive()
+        finally:
+            release.set()
+            holder.join()
+        assert results[0] == pytest.approx(mp_j(0.5, z), rel=1e-13)
+        assert results[1] == pytest.approx(mp_j(-0.5, z) / mp_j(0.5, z), rel=1e-13)
 
     def test_upper_sqrt_picks_decaying_root(self):
         assert specfun.upper_sqrt(complex(-4.0, -0.0)) == 2j
@@ -449,7 +481,7 @@ class TestInvariants:
                 assert abs(got - lead) <= envelope
 
     def test_branch_crossover_accuracy(self):
-        # values straddling the series/Miller and Miller/Hankel seams
+        # values straddling |z| = 12 and the series/Hankel seam at 30
         for order in ORDERS:
             for base in (12.0, 30.0):
                 for z in (complex(base - 1e-6, 0.4), complex(base + 1e-6, 0.4)):
@@ -468,8 +500,8 @@ class TestInvariants:
 
 class TestHankelBand:
     """Hankel's expansion, one integer kernel serving both lanes, from |z| =
-    30 up to the native ceiling, and from |z| = 12 for half-integer orders,
-    where it terminates."""
+    max(30, |order| + 15) for integer orders, and from |z| = order - 1/2
+    for half-integer orders, where it terminates."""
 
     @pytest.mark.parametrize("order", [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
     def test_half_integer_closed_form_below_30(self, order):
@@ -493,13 +525,10 @@ class TestHankelBand:
 
     @pytest.mark.parametrize("order", [-1.0, -0.5, 0.0, 1.0, 1.5, 2.0])
     def test_double_sum_matches_mp_sum(self, order):
-        # the one kernel in both arithmetics
+        # the kernel on a double argument against 40-digit besselj
         for z in (complex(30.0, 0.5), complex(1e3, -10.0), complex(3e4, 2.0)):
-            native = specfun._jv_hankel(order, z, 1e-12)
-            # 20 digits: at |z| = 30 the expansion cannot reach 34
-            with mpmath.workdps(20):
-                extended = complex(specfun._jv_hankel(order, mpmath.mpc(z), 1e-12))
-            assert abs(native - extended) <= 1e-15 * abs(extended)
+            want = mp_j(order, z)
+            assert abs(specfun._jv_hankel(order, z) - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("order,z,target", [
         (40.5, 13.0 + 0j, 1e-12), (20.5, 13.0 + 1.0j, 1e-10),
@@ -517,6 +546,97 @@ class TestHankelBand:
     def test_double_range_guard(self):
         with pytest.raises(AccuracyError):
             specfun._jv(0.0, complex(100.0, 710.0), 1e-12)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5])
+    def test_double_range_guard_beyond_native_max(self, order):
+        # a double argument stays in double precision at every |z|
+        z = complex(1e5, 710.0)
+        with pytest.raises(AccuracyError):
+            bessel_j(BesselQuery(order, z))
+        with pytest.raises(AccuracyError):
+            bessel_j_ratio(order, z)
+
+    def test_integer_orders_served_wherever_routed(self):
+        # every integer order that _hankel_serves hands to Hankel's kernel
+        # reaches 53 bits there, so none raises AccuracyError
+        for n in range(201):
+            start = max(specfun.ASYMPT_MIN, n + 15.0)
+            for az in (start, start + 0.25, start + 1.0, 2.0 * start, 10.0 * start, 1e6):
+                assert specfun._hankel_serves(float(n), az)
+                specfun._hankel_terms(float(n), az, 53)
+            assert not specfun._hankel_serves(float(n), start - 0.25)
+
+    @pytest.mark.parametrize("order,z", [(-16.0, 31.0 + 0.5j), (-20.0, 35.5 + 0j)])
+    def test_ratio_routes_by_both_orders(self, order, z):
+        # J_{order-1} has the larger |order| here: Hankel's band holds for
+        # J_order but not for it, so both take the series
+        want = mp_j(order - 1.0, z) / mp_j(order, z)
+        assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 20, 60, 120, 200])
+    def test_integer_order_at_band_edge(self, n):
+        start = max(specfun.ASYMPT_MIN, n + 15.0)
+        for az in (start, 1.5 * start):
+            for im in (0.0, 3.0):
+                z = complex(math.sqrt(az * az - im * im), im)
+                want = mp_j(n, z)
+                got = bessel_j(BesselQuery(float(n), z))
+                assert abs(got - want) <= 2e-15 * max(abs(want), specfun._envelope(z))
+
+    def test_zero_term_forms_skip_w(self, monkeypatch):
+        # J_{-1/2}/J_{1/2}, d = 3's ratio: P = 1 and Q = 0 exactly for both
+        # orders, so w = 1/(8z) is never formed; the ratio is cot z, as
+        # the cos/sin reference gives it
+        def refuse(*args):
+            raise AssertionError("w formed for a zero-term sum")
+        monkeypatch.setattr(specfun, "_fixed_w", refuse)
+        for r in (3.0, 47.3, 1e3, 2.9e4, 1e8):
+            for im in (0.5, -4.0):
+                z = complex(r, im)
+                want = reference_ratio(0.5, z)
+                assert abs(bessel_j_ratio(0.5, z) - want) <= 1e-15 * abs(want)
+        with mpmath.workdps(40):
+            for z in (mpmath.mpc(3.1e4, 12.5), mpmath.mpc(1e10, 0.5), mpmath.mpc(-1e17, 25.0)):
+                want = reference_ratio(0.5, z)
+                got = specfun.bessel_ratio_mp(0.5, z)
+                assert complex(got) == complex(want)
+                assert abs(got - want) <= 1e-37 * abs(want)
+
+
+class TestSeriesBand:
+    """The ascending series below Hankel's band, against 50-digit besselj
+    and ``_envelope``, the natural size of J there."""
+
+    @pytest.mark.parametrize("order", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_matches_besselj_to_envelope(self, order):
+        # all four quadrants, |Im z| up to 29, at the default target
+        for r in (12.5, 15.0, 18.5, 22.0, 25.5, 29.5):
+            for j in range(12):
+                angle = (j + 0.25) * math.pi / 6.0
+                z = complex(r * math.cos(angle), max(-29.0, min(29.0, r * math.sin(angle))))
+                with mpmath.workdps(50):
+                    want = complex(mpmath.besselj(order, mpmath.mpc(z)))
+                got = bessel_j(BesselQuery(order, z))
+                assert abs(got - want) <= 2e-15 * specfun._envelope(z)
+
+    @pytest.mark.parametrize("order,z,target", [
+        (0.0, 15.0 + 25.0j, 1e-12), (1.0, 12.5 + 20.0j, 1e-12),
+        (0.0, 4.885513943043596 - 28.98255662128374j, 1e-8)])
+    def test_large_imaginary_part(self, order, z, target):
+        # the series' terms reach e^|z| and cancel to e^|Im z|; a target of
+        # 1e-8 still gets double precision
+        got = specfun._jv(order, z, target)
+        assert abs(got - mp_j(order, z)) <= 2e-15 * specfun._envelope(z)
+
+    def test_moderate_even_d_bump_wavenumber(self):
+        # |tau a| ~ 11: the ratio J_-1/J_0 is a quotient of two series
+        bump = build(2, 3.0, 8.0, 1).entries[0].bump
+        assert abs(bump.tau * bump.a) < specfun.ASYMPT_MIN
+        with mpmath.workdps(50):
+            tau, a = mpmath.mpc(bump.tau), mpmath.mpf(bump.a)
+            z = tau * a
+            k = -1j * tau * mpmath.besselj(-1, z) / mpmath.besselj(0, z) - 0.5j / a
+            assert abs(bump.k - k) <= 3e-16 * abs(k)
 
 
 class TestBigArguments:
@@ -538,14 +658,21 @@ class TestBigArguments:
 class TestConcurrency:
     def test_parallel_mixed_lane_calls_are_consistent(self):
         # the extended-precision lane serialises on a shared lock; hammer
-        # both lanes from several threads and require bitwise agreement
+        # it (boundary wavenumbers of desk-radius bumps, d = 1 and 2) and
+        # the double lane from several threads, requiring bitwise agreement
         from concurrent.futures import ThreadPoolExecutor
-        jobs = [(0.5, complex(2e5, 8.0)), (-0.5, complex(1.0, 0.2)),
-                (1.5, complex(9e4, 2.0)), (0.0, complex(25.0, 3.0)),
-                (0.0, complex(2e5, 8.0))] * 8
-        expected = [bessel_j(BesselQuery(o, z)) for o, z in jobs]
+        desk = []
+        for d in (1, 2):
+            a = radius_for_index(d, 1.0, 10 ** 6)
+            desk.append(functools.partial(boundary_wavenumber, d,
+                                          complex(1.0, solve_eta(1.0, a)), a))
+        jobs = [desk[0], functools.partial(bessel_j, BesselQuery(-0.5, complex(1.0, 0.2))),
+                functools.partial(bessel_j, BesselQuery(1.5, complex(9e4, 2.0))),
+                functools.partial(bessel_j, BesselQuery(0.0, complex(25.0, 3.0))),
+                desk[1]] * 8
+        expected = [job() for job in jobs]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda j: bessel_j(BesselQuery(*j)), jobs))
+            got = list(pool.map(lambda job: job(), jobs))
         assert got == expected
 
 
@@ -603,24 +730,35 @@ class TestErrors:
                 specfun.bessel_ratio_mp(0.0, mpmath.mpc(5.0, 1.0))
         assert err.value.achieved > 1e-34
 
-    @pytest.mark.parametrize("order", [62.0, 100.0])
-    @pytest.mark.parametrize("z", [20.0 + 0j, 29.0 + 1.0j])
-    def test_miller_ladder_starts_above_order(self, order, z):
-        # a ladder started at |z| + 40 would not reach the order
+    @pytest.mark.parametrize("z,order", [
+        (20.0 + 0j, 62.0), (20.0 + 0j, 100.0), (29.0 + 1.0j, 62.0), (29.0 + 1.0j, 100.0),
+        (35.0 + 0j, 40.0), (30.5 + 0j, 35.0), (40.0 + 0j, 45.0), (31.0 + 0.5j, 60.0),
+        (50.0 + 0j, 80.0)])
+    def test_integer_order_above_argument(self, order, z):
+        # below |z| = order + 15 the series serves, where Hankel's
+        # expansion cannot reach 53 bits
         got = bessel_j(BesselQuery(order, z))
-        assert got == pytest.approx(mp_j(order, z), rel=1e-12)
+        assert got == pytest.approx(mp_j(order, z), rel=1e-13)
 
     @pytest.mark.parametrize("z", [0.5 + 0.1j, 20.0 + 1.0j, 1e3 + 1.0j,
                                    1e5 + 1.0j])
     def test_non_half_integer_order_refused(self, z):
-        # an integer-only Miller ladder would return J_0 for order 0.3
+        # both expansions take 2 order as an int, so order 0.3 would
+        # silently return another order's value
         with pytest.raises(InvalidArgumentError):
             bessel_j(BesselQuery(0.3, z))
         with pytest.raises(InvalidArgumentError):
             bessel_j_ratio(0.3, z)
 
+    @pytest.mark.parametrize("order,z", [(200.0, 100.0 + 0j), (171.0, 5.0 + 1.0j)])
+    def test_series_beyond_double_range_refused(self, order, z):
+        # Gamma(order + 1) overflows a double: an AccuracyError, not a
+        # bare OverflowError
+        with pytest.raises(AccuracyError):
+            bessel_j(BesselQuery(order, z))
+
     def test_accuracy_error_carries_estimate(self):
-        # an impossible target in the Miller band must fail loudly
+        # an impossible target below Hankel's band must fail loudly
         with pytest.raises(AccuracyError) as err:
             specfun._jv(2.0, complex(20.0, 9.0), 1e-30)
         assert err.value.achieved is not None and err.value.achieved > 1e-30
