@@ -24,9 +24,11 @@ L^p, L^inf and capture budgets while index m - 1 (if any) does not.  The
 search assumes feasibility is upward closed in m, as |c| and |mu - lam|
 shrink along m; where that fails at small m, the frontier it returns
 need not be the smallest feasible index.  At large indices (radii beyond
-~1e4 wavelengths) all wavenumber arithmetic runs at scaled arbitrary
-precision and the double-rounded fields are what the constraints are
-checked against; the stored doubles are the artifact.
+~1e4 wavelengths) the Bessel argument tau a is formed exactly from the
+doubles tau and a, k is one exact fraction rounded once, and the residual
+polish runs at scaled arbitrary precision; the double-rounded fields are
+what the constraints are checked against, and the stored doubles are the
+artifact.
 """
 
 from __future__ import annotations
@@ -116,12 +118,28 @@ def solve_eta(nu: float, a: float) -> float:
 
 
 def boundary_wavenumber(d: int, tau: complex, a: float) -> complex:
-    """Outer wavenumber matching the interior Bessel profile at r = a."""
+    """Outer wavenumber k = -i tau J_{d/2-2}(tau a) / J_{d/2-1}(tau a)
+    + i (d-3)/(2a) matching the interior Bessel profile at r = a.
+
+    Up to ``specfun.NATIVE_MAX`` the phase tau a is rounded to a double
+    and the ratio is ``bessel_j_ratio``'s.  Beyond it tau a would lose
+    more than the ratio's accuracy to that rounding, so the ratio comes as
+    an exact fraction at the exact product (``bessel_ratio_exact``), and k
+    is formed from it, tau and the double (d-3)/(2a) on ints and rounded
+    once.
+    """
     _check_dim(d)
-    with specfun.lane(abs(tau * a)) as ops:
-        tau_l = ops.lift(tau)
-        ratio = ops.bessel_ratio(d / 2.0 - 1.0, tau_l * a)
-        return complex(-1j * tau_l * ratio + 1j * (d - 3.0) / (2.0 * a))
+    tau = complex(tau)
+    if abs(tau * a) <= specfun.NATIVE_MAX:
+        ratio = specfun.bessel_j_ratio(d / 2.0 - 1.0, tau * a)
+        return complex(-1j * tau * ratio + 1j * (d - 3.0) / (2.0 * a))
+    re, im, den = specfun.bessel_ratio_exact(d / 2.0 - 1.0, tau, a)
+    x, y, s = specfun._exact(tau)
+    c_num, c_den = ((d - 3.0) / (2.0 * a)).as_integer_ratio()
+    den <<= s
+    # -i tau (re + i im) = (y - ix)(re + i im) / 2^s
+    return complex((y * re + x * im) / den,
+                   ((y * im - x * re) * c_den + c_num * den) / (den * c_den))
 
 
 def norm_p(params: BumpParams, p: float) -> float:

@@ -16,28 +16,36 @@ for orders d/2 - 1 and d/2 - 2.
 
 A double argument is exact, and libm reduces its cos and sin to below an
 ulp at any size, so ``bessel_j`` and ``bessel_j_ratio`` run in double
-precision at every |z|.  A caller that forms a phase from a product
-(z = tau * a beyond ``|z| ~ 3e4``) would round it by more than the
-accuracy this library promises; such callers pick their arithmetic
-through the package's one precision lane (``lane``), which delegates to
-mpmath with the working precision scaled to the phase.
+precision at every |z|.  A phase formed from a product beyond ``|z| ~
+3e4`` (NATIVE_MAX) would lose more than the accuracy this library
+promises to its rounding.  A bump's z = tau * a is a product of two
+doubles, so ``bessel_ratio_exact`` forms it exactly on ints and takes
+cos z and sin z from mpmath's integer layer (``libmp``) at the phase's
+precision (``phase_digits``), with no mpmath working precision or lock.
+Callers whose phase is not such a product (the transfer and secular
+solves) pick their arithmetic through the package's one precision lane
+(``lane``), which delegates to mpmath at that same precision.
 
-Hankel's expansion has one evaluator for both arithmetics, an integer
-kernel (``_fixed_forms``).  The ratio J_{n-1}(z)/J_n(z) (``_ratio``) is
-the quotient of two of its forms wherever Hankel's expansion serves, and
-always in the mpmath lane; else the quotient of two series values.  Near
-a zero of the denominator it raises PoleError, by one rule for all.
+Hankel's expansion has one evaluator for every arithmetic, an integer
+kernel (``_fixed_forms``) fed with cos z and sin z as scaled ints.  The
+ratio J_{n-1}(z)/J_n(z) (``_ratio``, ``bessel_ratio_exact``) is the
+quotient of two of its forms wherever Hankel's expansion serves, and
+always beyond NATIVE_MAX; else the quotient of two series values.  Near
+a zero of the denominator it raises PoleError, by one rule for all
+(``_near_pole``).
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import mpmath
+from mpmath import libmp
 
 from .errors import AccuracyError, InvalidArgumentError, PoleError
 
@@ -50,6 +58,14 @@ NATIVE_MAX = 3.0e4
 # block in the package takes this (reentrant) lock so the native double
 # lane stays freely concurrent
 MP_LOCK = threading.RLock()
+
+# libmp keeps pi and log 2 at the highest precision asked for so far and
+# grows them by two unlocked writes, which a concurrent reader can see half
+# done.  ``bessel_ratio_exact`` calls libmp without MP_LOCK, so both are
+# filled here once beyond any precision the package asks for: phase_digits
+# of |z| < 2^1024, plus the magnitude bits of the reduction mod pi/2.
+libmp.pi_fixed(4096)
+libmp.ln2_fixed(4096)
 
 
 def upper_sqrt(w: complex) -> complex:
@@ -87,22 +103,29 @@ class _MP:
         return bessel_ratio_mp(order, z)
 
 
+def phase_digits(scale: float) -> int:
+    """Decimal digits for a computation beyond NATIVE_MAX whose phase
+    reaches ``scale`` radians: 30 + floor(log10(scale + 1)), so that a
+    phase formed from a product (tau * a, kappa * L) keeps an error far
+    below every tolerance."""
+    return 30 + int(math.log10(scale + 1.0))
+
+
 @contextlib.contextmanager
 def lane(scale: float):
     """Arithmetic for a computation whose phase reaches ``scale`` radians.
 
     Up to NATIVE_MAX this yields the double-precision ops.  Beyond it
     yields the mpmath ops, holding MP_LOCK with the working precision at
-    30 + log10(scale) digits, so that a phase formed from a product
-    (tau * a, kappa * L) keeps an error far below every tolerance; a
-    double argument alone is exact and needs no lane.  Both carry
-    ``sqrt``, ``exp``, ``lift`` (into the lane), ``bessel_ratio`` and the
-    flag ``mp``; ``complex`` takes a lane number back to double.
+    ``phase_digits(scale)``; a double argument alone is exact and needs no
+    lane.  Both carry ``sqrt``, ``exp``, ``lift`` (into the lane),
+    ``bessel_ratio`` and the flag ``mp``; ``complex`` takes a lane number
+    back to double.
     """
     if scale <= NATIVE_MAX:
         yield _Native
         return
-    with MP_LOCK, mpmath.workdps(30 + int(math.log10(scale + 1.0))):
+    with MP_LOCK, mpmath.workdps(phase_digits(scale)):
         yield _MP
 
 
@@ -131,14 +154,6 @@ def gamma_real(x: float) -> float:
         return math.gamma(x)
     except OverflowError as exc:
         raise InvalidArgumentError("gamma_real overflow at x=%r" % (x,)) from exc
-
-
-def _recip_gamma(x: float) -> float:
-    """1/Gamma(x) for x > 0 or x a negative half-integer."""
-    if x > 0.0:
-        return 1.0 / math.gamma(x)
-    # reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
-    return math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
 
 
 def bessel_j(query: BesselQuery) -> complex:
@@ -212,7 +227,8 @@ def _jv_series(order: float, z: complex) -> complex:
     e^|Im z|, so S runs at bits = 53 + FIXED_GUARD + ceil(|z| log2 e):
     its truncations then stay far below an ulp of ``_envelope``.  The sum
     stops at the first term below 2^-bits, and the front factor is
-    applied once in double.
+    applied once, formed in log space by ``math.lgamma``.  A J beyond the
+    double range is an AccuracyError.
     """
     x, y, s = _exact(z)
     bits = 53 + FIXED_GUARD + math.ceil(abs(z) / math.log(2.0))
@@ -229,19 +245,25 @@ def _jv_series(order: float, z: complex) -> complex:
         tr, ti = (tr * vr - ti * vi) // den, (tr * vi + ti * vr) // den
         total_re += tr
         total_im += ti
+    # (z/2)^n and Gamma(n + 1) each leave the double range beyond n = 170,
+    # their quotient need not; at a negative half-integer x = n + 1,
+    # 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi takes the sign of sin(pi x)
+    sign = math.copysign(1.0, math.sin(math.pi * (order + 1.0))) if order < -1.0 else 1.0
     try:
-        front = cmath.exp(order * cmath.log(z / 2.0)) * _recip_gamma(order + 1.0)
-        return _rounded(total_re, total_im, 1 << bits, z) * front
-    except OverflowError as exc:  # Gamma(n + 1) beyond n = 170, or a huge S
-        raise AccuracyError("J_%g(z) series leaves the double range" % order,
-                            achieved=math.inf) from exc
+        front = sign * cmath.exp(order * cmath.log(z / 2.0) - math.lgamma(order + 1.0))
+        value = _rounded(total_re, total_im, 1 << bits, z) * front
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise AccuracyError("J_%g(z) leaves the double range" % order, achieved=math.inf)
 
 
 def _jv_hankel(order: float, z: complex) -> complex:
     """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
     pi/4, for a double z with Re z >= 0, by the integer kernel."""
     bits = _bits(z)
-    (form,) = _fixed_forms((order,), z, bits)
+    (form,) = _forms((order,), z, bits)
     return cmath.sqrt(2.0 / (math.pi * z)) * _rounded(*form, 1 << bits, z)
 
 
@@ -287,11 +309,12 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
                                 % (bits, az), achieved=bound)
 
 
-# The Hankel kernel of both lanes.  After cos z and sin z, whose argument
-# reduction needs the arithmetic of z (cmath, or mpmath.cos_sin), Hankel's
-# forms run on Python ints holding a complex number as an (re, im) pair
-# scaled by 2^bits, bits = (53 or mp.prec) + FIXED_GUARD (``_bits``), and
-# the result is rounded once back into that arithmetic (``_rounded``).
+# The Hankel kernel of every arithmetic.  After cos z and sin z, whose
+# argument reduction needs the arithmetic of z (cmath, mpmath.cos_sin, or
+# libmp on an exact product of doubles), Hankel's forms run on Python ints
+# holding a complex number as an (re, im) pair scaled by 2^bits, bits =
+# (53 or the mpmath precision) + FIXED_GUARD (``_bits``), and the result
+# is rounded once back into that arithmetic (``_rounded``).
 # Products are truncated to 2^-bits, so every value carries an absolute
 # error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
 # or more.  The smallest form the ratio divides by is its pole threshold,
@@ -337,14 +360,10 @@ def _fixed_mul(a, b, bits: int):
             (a[0] * b[1] + a[1] * b[0]) >> bits)
 
 
-def _fixed_w(z, bits: int):
+def _fixed_w(x: int, y: int, s: int, bits: int):
     """w = 1/(8z) = conj(z)/(8|z|^2), Hankel's expansion variable, as a
-    scaled-int pair, from z scaled by 2^s: an mpmath z at s = bits, a
-    complex exactly, so that a small |z| keeps all its digits."""
-    if isinstance(z, complex):
-        x, y, s = _exact(z)
-    else:
-        x, y, s = _fixed(z.real, bits), _fixed(z.imag, bits), bits
+    scaled-int pair, from z = (x + iy) / 2^s: exact for a complex or a
+    product of doubles, so that a small |z| keeps all its digits."""
     norm = 8 * (x * x + y * y)
     return (x << s + bits) // norm, (-y << s + bits) // norm
 
@@ -364,51 +383,65 @@ def _fixed_pq(order: float, w, terms: int, bits: int):
     """
     if not terms:
         return (1 << bits, 0), (0, 0)
-    mu = round(4.0 * order * order)
+    t_re, t_im = _fixed_mul(w, w, bits)
+    t_re, t_im = -t_re, -t_im
+    sums = []
+    for part in _pq_coeffs(round(4.0 * order * order), terms, bits):
+        re, im = part[0], 0
+        for c in part[1:]:
+            re, im = ((re * t_re - im * t_im) >> bits) + c, (re * t_im + im * t_re) >> bits
+        sums.append((re, im))
+    return sums[0], _fixed_mul(w, sums[1], bits)
+
+
+@functools.lru_cache(maxsize=256)
+def _pq_coeffs(mu: int, terms: int, bits: int):
+    """Hankel's c_0 .. c_terms for mu = 4 order^2, each floored to 2^-bits:
+    the even (P's) and the odd (Q's), highest first for Horner's rule."""
     coeffs = [1 << bits]
     num = den = 1
     for k in range(1, terms + 1):
         num *= mu - (2 * k - 1) ** 2
         den *= k
         coeffs.append((num << bits) // den)
-    t = _fixed_mul(w, w, bits)
-    t = (-t[0], -t[1])
-    sums = []
-    for part in (coeffs[0::2], coeffs[1::2]):
-        acc = (0, 0)
-        for c in reversed(part):
-            acc = _fixed_mul(acc, t, bits)
-            acc = (acc[0] + c, acc[1])
-        sums.append(acc)
-    return sums[0], _fixed_mul(w, sums[1], bits)
+    return tuple(reversed(coeffs[0::2])), tuple(reversed(coeffs[1::2]))
 
 
-def _fixed_forms(orders, z, bits: int):
+def _forms(orders, z, bits: int):
+    """``_fixed_forms`` at a complex or an mpmath z with Re z >= 0, bits =
+    ``_bits(z)``: cos z and sin z in the arithmetic of z, and z exactly
+    for a complex, floored to 2^-bits for an mpmath number.  A complex
+    beyond |Im z| = 700 is an AccuracyError: its cos z leaves the double
+    range."""
+    if isinstance(z, complex):
+        if abs(z.imag) > 700.0:
+            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                                achieved=math.inf)
+        cos_sin, parts = (cmath.cos(z), cmath.sin(z)), _exact(z)
+    else:
+        cos_sin = mpmath.cos_sin(z)
+        parts = _fixed(z.real, bits), _fixed(z.imag, bits), bits
+    return _fixed_forms(orders, abs(complex(z)),
+                        [(_fixed(v.real, bits), _fixed(v.imag, bits)) for v in cos_sin],
+                        parts, bits)
+
+
+def _fixed_forms(orders, az: float, cos_sin, parts, bits: int):
     """sqrt(pi z/2) J_n(z) = P_n cos chi_n - Q_n sin chi_n for each n of
     ``orders`` (integer or half-integer), Re z >= 0, as pairs scaled by
-    2^bits, bits = ``_bits(z)``.
+    2^bits, from |z| = az, the pair (cos z, sin z) scaled alike and z =
+    (x + iy) / 2^s as the ints ``parts`` = (x, y, s).
 
-    The term counts come from ``_hankel_terms`` first, so an AccuracyError
-    costs no work; w (formed only if some count is not 0) and cos z,
-    sin z serve all orders.  chi_n = z - theta_n with theta_n = (2n + 1)
-    pi/4, an odd or even number of eighth turns, so cos theta_n and
-    sin theta_n are 0, +-1 or +-1/sqrt(2), each one int.  A complex
-    beyond |Im z| = 700 is an AccuracyError: its cos z leaves the double
-    range.
+    The term counts come from ``_hankel_terms`` at bits - FIXED_GUARD, and
+    w = 1/(8z) is formed only if some count is not 0; w and cos z, sin z
+    serve all orders.  chi_n = z - theta_n with theta_n = (2n + 1) pi/4,
+    an odd or even number of eighth turns, so cos theta_n and sin theta_n
+    are 0, +-1 or +-1/sqrt(2), each one int.
     """
-    native = isinstance(z, complex)
-    if native and abs(z.imag) > 700.0:
-        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                            achieved=math.inf)
-    az = abs(complex(z))
     counts = [_hankel_terms(n, az, bits - FIXED_GUARD) for n in orders]
-    w = _fixed_w(z, bits) if any(counts) else None
-    cos_sin = (cmath.cos(z), cmath.sin(z)) if native else mpmath.cos_sin(z)
-    (cz_re, cz_im), (sz_re, sz_im) = [(_fixed(v.real, bits), _fixed(v.imag, bits))
-                                      for v in cos_sin]
-    one, root_half = 1 << bits, math.isqrt(1 << (2 * bits - 1))
-    # cos(j pi/4), j = 0..7
-    eighths = (one, root_half, 0, -root_half, -one, -root_half, 0, root_half)
+    w = _fixed_w(*parts, bits) if any(counts) else None
+    (cz_re, cz_im), (sz_re, sz_im) = cos_sin
+    eighths = _eighths(bits)
     forms = []
     for n, count in zip(orders, counts):
         p, q = _fixed_pq(n, w, count, bits)
@@ -421,6 +454,13 @@ def _fixed_forms(orders, z, bits: int):
         p_cos, q_sin = _fixed_mul(p, cos_chi, bits), _fixed_mul(q, sin_chi, bits)
         forms.append((p_cos[0] - q_sin[0], p_cos[1] - q_sin[1]))
     return forms
+
+
+@functools.lru_cache(maxsize=64)
+def _eighths(bits: int):
+    """cos(j pi/4), j = 0..7, floored to 2^-bits."""
+    one, root_half = 1 << bits, math.isqrt(1 << (2 * bits - 1))
+    return (one, root_half, 0, -root_half, -one, -root_half, 0, root_half)
 
 
 def _envelope(z: complex) -> float:
@@ -453,6 +493,45 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
     return _ratio(order, z)
 
 
+def bessel_ratio_exact(order: float, tau: complex, a: float):
+    """J_{order-1}(z)/J_order(z) at the exact product z = tau a of two
+    doubles, |z| beyond NATIVE_MAX, as ints (re, im, den): the ratio is
+    (re + i im)/den exactly, for the caller to round once.
+
+    z is (x + iy)/2^s on ints.  cos z and sin z come from mpmath's integer
+    layer (``libmp.mpc_cos_sin``) at ``phase_digits(|tau a|)`` digits, the
+    precision of the mpmath lane, and the forms from the integer kernel;
+    no mpmath object, working precision or MP_LOCK is involved.  Re z < 0
+    takes ratio(-z) = -ratio(z).  ``_ratio``'s pole rule holds, its exact
+    test at that precision, and a PoleError carries the Newton distance
+    from the ints (``_exact_pole_error``).
+    """
+    x, y, s = _exact(tau)
+    num, den = a.as_integer_ratio()
+    x, y, s = x * num, y * num, s + den.bit_length() - 1
+    sign = -1 if x < 0 else 1
+    x, y = sign * x, sign * y
+    prec = libmp.dps_to_prec(phase_digits(abs(tau * a)))
+    bits = prec + FIXED_GUARD
+    cos_sin = libmp.mpc_cos_sin((libmp.from_man_exp(x, -s), libmp.from_man_exp(y, -s)),
+                                prec, "n")
+    cur, prev = _fixed_forms(
+        (order, order - 1.0), abs(complex(x / (1 << s), y / (1 << s))),
+        [(libmp.to_fixed(re, bits), libmp.to_fixed(im, bits)) for re, im in cos_sin],
+        (x, y, s), bits)
+
+    def below():
+        size = libmp.mpc_abs(tuple(libmp.from_rational(v, 1 << bits, prec, "n")
+                                   for v in cur), prec, "n")
+        limit = libmp.mpf_exp(libmp.from_man_exp(abs(y), -s), prec, "n")
+        return libmp.mpf_lt(size, libmp.mpf_mul(libmp.from_float(1e-12), limit, prec, "n"))
+
+    if _near_pole(cur, bits, abs(y / (1 << s)), below):
+        raise _exact_pole_error(order, x, y, s, prev, cur)
+    re, im, norm = _quotient(prev, cur)
+    return sign * re, sign * im, norm
+
+
 def _ratio(order: float, z):
     """J_{order-1}(z)/J_order(z) in the arithmetic of z.
 
@@ -462,9 +541,8 @@ def _ratio(order: float, z):
     conj(cur)/|cur|^2, an exact fraction of ints rounded once.  Otherwise
     the quotient of two ``_jv`` values.  One pole rule: PoleError with the
     Newton distance |J_order/J_order'| when |J_order| < 1e-12 of its
-    envelope, e^{|Im z|} for the forms and ``_envelope`` for ``_jv``.  The
-    forms' test is decided on the float log of the ints, and only within a
-    factor 4 of the threshold on the rounded form, as an exact test would.
+    envelope, e^{|Im z|} for the forms (``_near_pole``) and ``_envelope``
+    for ``_jv``.
     """
     if isinstance(z, complex) and not all(
             _hankel_serves(n, abs(z)) for n in (order, order - 1.0)):
@@ -475,22 +553,35 @@ def _ratio(order: float, z):
     if z.real < 0:
         return -_ratio(order, -z)
     bits = _bits(z)
-    cur, prev = _fixed_forms((order, order - 1.0), z, bits)
-    norm = cur[0] * cur[0] + cur[1] * cur[1]
-    # log of |J_order| over its pole threshold 1e-12 e^{|Im z|}
-    gap = -math.inf
-    if norm:
-        gap = (0.5 * math.log(norm) - bits * math.log(2.0)
-               - abs(float(z.imag)) - math.log(1e-12))
-    near = gap < 0.0
-    if abs(gap) < math.log(4.0):
-        exp = math.exp if isinstance(z, complex) else mpmath.exp
-        near = abs(_rounded(*cur, 1 << bits, z)) < 1e-12 * exp(abs(z.imag))
-    if near:
+    cur, prev = _forms((order, order - 1.0), z, bits)
+    exp = math.exp if isinstance(z, complex) else mpmath.exp
+    if _near_pole(cur, bits, abs(float(z.imag)),
+                  lambda: abs(_rounded(*cur, 1 << bits, z)) < 1e-12 * exp(abs(z.imag))):
         raise _pole_error(order, z, _rounded(*prev, 1 << bits, z),
                           _rounded(*cur, 1 << bits, z))
-    return _rounded(prev[0] * cur[0] + prev[1] * cur[1],
-                    prev[1] * cur[0] - prev[0] * cur[1], norm, z)
+    return _rounded(*_quotient(prev, cur), z)
+
+
+def _quotient(prev, cur):
+    """prev / cur of two scaled-int pairs as the exact fraction
+    (re, im, den) = (prev conj(cur), |cur|^2)."""
+    return (prev[0] * cur[0] + prev[1] * cur[1], prev[1] * cur[0] - prev[0] * cur[1],
+            cur[0] * cur[0] + cur[1] * cur[1])
+
+
+def _near_pole(cur, bits: int, abs_im: float, below) -> bool:
+    """The forms' pole rule: whether |J_order|, the form ``cur`` over
+    2^bits, lies below its threshold 1e-12 e^{|Im z|}.  Decided on the
+    float log of the ints, and within a factor 4 of the threshold by
+    ``below()``, the caller's test in its own arithmetic, as an exact test
+    would."""
+    norm = cur[0] * cur[0] + cur[1] * cur[1]
+    if not norm:
+        return True
+    gap = 0.5 * math.log(norm) - bits * math.log(2.0) - abs_im - math.log(1e-12)
+    if abs(gap) < math.log(4.0):
+        return below()
+    return gap < 0.0
 
 
 def _pole_error(order: float, z, prev, cur) -> PoleError:
@@ -500,3 +591,22 @@ def _pole_error(order: float, z, prev, cur) -> PoleError:
     slope = prev - (order / z) * cur
     return PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
                      distance=float(abs(cur / slope)) if slope != 0 else 0.0)
+
+
+def _exact_pole_error(order: float, x: int, y: int, s: int, prev, cur) -> PoleError:
+    """``_pole_error`` at z = (x + iy)/2^s from the scaled-int forms: with
+    slope = 2 (x + iy) prev - 2 order 2^s cur, J_order/J_order' = 2 (x + iy)
+    cur / slope exactly, and its modulus is rounded once."""
+    two_n = round(2.0 * order)
+    slope = (2 * (x * prev[0] - y * prev[1]) - (two_n * cur[0] << s),
+             2 * (x * prev[1] + y * prev[0]) - (two_n * cur[1] << s))
+    num = 4 * (x * x + y * y) * (cur[0] * cur[0] + cur[1] * cur[1])
+    den = slope[0] * slope[0] + slope[1] * slope[1]
+    distance = 0.0
+    if den:
+        # |J/J'| = sqrt(num/den), floored to well below an ulp, rounded once
+        shift = max(0, (den.bit_length() - num.bit_length()) // 2 + 128)
+        distance = math.isqrt((num << 2 * shift) // den) / (1 << shift)
+    z = complex(x / (1 << s), y / (1 << s))
+    return PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
+                     distance=distance)

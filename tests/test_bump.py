@@ -3,16 +3,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from eigenbump import bump as bumpmod
-from eigenbump import construct, eigensolve
+from eigenbump import construct, eigensolve, specfun
 from eigenbump.bump import (BumpParams, PlacedBump, boundary_wavenumber,
                             design_bump, eigenfunction_eval, norm_inf, norm_p,
                             potential_eval, radius_for_index, solve_eta)
-from eigenbump.errors import BudgetInfeasibleError, InvalidArgumentError
+from eigenbump.errors import BudgetInfeasibleError, InvalidArgumentError, PoleError
 
 
 class TestRadius:
@@ -104,6 +105,76 @@ class TestBoundaryWavenumber:
         assert all(b < a for a, b in zip(rel_re, rel_re[1:]))
         assert all(b < a for a, b in zip(rel_im, rel_im[1:]))
         assert rel_re[-1] < 0.1 and rel_im[-1] < 0.1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, math.sqrt(257.0 / 512.0)])
+    def test_exact_product_matches_mpmath_lane(self, d, nu):
+        # beyond NATIVE_MAX the exact-product path returns the mpmath
+        # lane's double, bit for bit, at desk radii up to m = 1e18
+        checked = 0
+        for m in [mant * 10 ** e for e in range(4, 19) for mant in (1, 3)]:
+            if m > 10 ** 18:
+                continue
+            a = radius_for_index(d, nu, m)
+            tau = complex(nu, solve_eta(nu, a))
+            if abs(tau * a) <= specfun.NATIVE_MAX:
+                continue
+            assert boundary_wavenumber(d, tau, a) == lane_boundary_wavenumber(d, tau, a)
+            checked += 1
+        assert checked >= 28
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("lo,hi,kind", [(0.0, 2e-13, "pole"), (4e-13, 8e-13, "pole"),
+                                            (1.5e-12, 3e-12, "value")])
+    def test_exact_product_pole_rule_matches_mpmath_lane(self, d, lo, hi, kind):
+        # tau a at a distance in [lo, hi) from a zero of J_{d/2-1}, |tau a|
+        # ~ 1e6 and Im tau a ~ 1e-24, against the threshold |J| ~ 1e-12:
+        # decided on the ints' logarithm below 2e-13, at the working
+        # precision within a factor 4 of it; the same PoleError distance or
+        # double as the mpmath lane
+        nu, a = product_at_zero(d / 2.0 - 1.0, 1e6, lo, hi)
+        tau = complex(nu, 1e-30)
+        got = wavenumber_outcome(boundary_wavenumber, d, tau, a)
+        assert got[0] == kind
+        assert got == wavenumber_outcome(lane_boundary_wavenumber, d, tau, a)
+
+
+def lane_boundary_wavenumber(d, tau, a):
+    """boundary_wavenumber as the mpmath lane computed it beyond
+    NATIVE_MAX: tau a rounded at the lane's precision, ``bessel_ratio_mp``,
+    and k in mpc arithmetic with the double (d - 3)/(2a)."""
+    with specfun.lane(abs(tau * a)) as ops:
+        assert ops.mp
+        tau_l = mpmath.mpc(tau)
+        ratio = specfun.bessel_ratio_mp(d / 2.0 - 1.0, tau_l * a)
+        return complex(-1j * tau_l * ratio + 1j * (d - 3.0) / (2.0 * a))
+
+
+def product_at_zero(order, near, lo, hi):
+    """Doubles (nu, a), a ~ near, whose exact product lies at a distance in
+    [lo, hi) from a zero of J_order: Newton from McMahon's estimate at 50
+    digits, then a walk over the doubles a for nu a in that window."""
+    with mpmath.workdps(50):
+        zero = (round(near / math.pi) + order / 2.0 - 0.25) * mpmath.pi
+        for _ in range(6):
+            # J_order / J_order' from R = J_order / J_order+1, finite here
+            ratio = specfun.bessel_ratio_mp(order + 1.0, mpmath.mpc(zero))
+            zero -= (ratio / (order / zero * ratio - 1.0)).real
+        a = float(zero)
+        for _ in range(100000):
+            nu = float(zero / a)
+            if lo <= abs(mpmath.mpf(nu) * a - zero) < hi:
+                return nu, a
+            a = math.nextafter(a, math.inf)
+    raise AssertionError("no product of doubles in the window")
+
+
+def wavenumber_outcome(wavenumber, d, tau, a):
+    """("value", k) or ("pole", the PoleError distance)."""
+    try:
+        return "value", wavenumber(d, tau, a)
+    except PoleError as err:
+        return "pole", err.distance
 
 
 def _step1_args(p, budget):

@@ -253,7 +253,7 @@ class TestVerifyCommand:
         assert "entry 2" in err and "entry 1" not in err
 
     def test_corrupted_entry_named(self, ledger_file, tmp_path, capsys):
-        doc = json.loads(open(ledger_file).read())
+        doc = json.loads(Path(ledger_file).read_text())
         doc["entries"][1]["lambda"][0] += 1e-2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -331,7 +331,7 @@ class TestReportCommand:
         capsys.readouterr()
         row = (out_dir / "eigencloud.csv").read_text().splitlines()[1]
         lam_re = row.split(",")[4]
-        doc = json.loads(open(ledger_file).read())
+        doc = json.loads(Path(ledger_file).read_text())
         assert float(lam_re) == doc["entries"][0]["lambda"][0]
 
 
@@ -377,7 +377,7 @@ def _zero_bump_a(doc):
 def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
                                              tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(corrupt(json.loads(open(ledger_file).read())))
+    bad.write_text(corrupt(json.loads(Path(ledger_file).read_text())))
     argv = [command, "--ledger", str(bad)]
     if command == "report":
         argv += ["--out-dir", str(tmp_path / "rep")]
@@ -389,7 +389,7 @@ def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
 
 class TestDeterminismAndRoundTrip:
     def test_round_trip_bytes(self, ledger_file):
-        raw = open(ledger_file, "rb").read()
+        raw = Path(ledger_file).read_bytes()
         ledger, meta = cli.load_ledger_file(ledger_file)
         doc = cli.ledger_to_doc(ledger, meta["steps"], meta["created"])
         assert cli.dump_ledger(doc).encode() == raw

@@ -13,6 +13,7 @@ from eigenbump import specfun
 from eigenbump.bump import (boundary_wavenumber, eigenfunction_eval, radius_for_index,
                            solve_eta)
 from eigenbump.construct import build, enumerate_targets
+from eigenbump.eigensolve import SecularProblem, secular_residual
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
 
@@ -80,6 +81,30 @@ class TestExamples:
                 assert gamma_real(float(x)) == pytest.approx(want, rel=1e-12)
 
 
+def run_while_mp_lock_held(evaluate):
+    """evaluate() on a worker thread while another thread holds MP_LOCK;
+    fails unless it returns within the join timeout."""
+    held, release, results = threading.Event(), threading.Event(), []
+
+    def hold():
+        with specfun.MP_LOCK:
+            held.set()
+            release.wait(60.0)
+
+    holder = threading.Thread(target=hold)
+    worker = threading.Thread(target=lambda: results.append(evaluate()), daemon=True)
+    holder.start()
+    try:
+        assert held.wait(10.0)
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive()
+    finally:
+        release.set()
+        holder.join()
+    return results[0]
+
+
 class TestLane:
     def test_native_up_to_threshold_mp_beyond(self):
         with specfun.lane(specfun.NATIVE_MAX) as ops:
@@ -102,33 +127,25 @@ class TestLane:
                 assert (bessel_j_ratio(order, z), bessel_j(BesselQuery(order, z))) == want
 
     def test_double_argument_beyond_native_max_takes_no_lock(self):
-        # a double argument is exact, so only callers that form a phase
-        # from a product enter the mpmath lane and its lock
+        # a double argument is exact, so it needs neither the mpmath lane
+        # nor its lock
         z = complex(1e6, 1.0)
-        held, release, results = threading.Event(), threading.Event(), []
-
-        def hold():
-            with specfun.MP_LOCK:
-                held.set()
-                release.wait(60.0)
-
-        def evaluate():
-            results.append(bessel_j(BesselQuery(0.5, z)))
-            results.append(bessel_j_ratio(0.5, z))
-
-        holder = threading.Thread(target=hold)
-        worker = threading.Thread(target=evaluate, daemon=True)
-        holder.start()
-        try:
-            assert held.wait(10.0)
-            worker.start()
-            worker.join(10.0)
-            assert not worker.is_alive()
-        finally:
-            release.set()
-            holder.join()
+        results = run_while_mp_lock_held(lambda: [bessel_j(BesselQuery(0.5, z)),
+                                                  bessel_j_ratio(0.5, z)])
         assert results[0] == pytest.approx(mp_j(0.5, z), rel=1e-13)
         assert results[1] == pytest.approx(mp_j(-0.5, z) / mp_j(0.5, z), rel=1e-13)
+
+    def test_boundary_wavenumber_beyond_native_max_takes_no_lock(self):
+        # a desk bump's tau a is formed exactly on ints, so its boundary
+        # wavenumber needs no mpmath working precision either
+        args = []
+        for d in (1, 2):
+            a = radius_for_index(d, 1.0, 10 ** 6)
+            args.append((d, complex(1.0, solve_eta(1.0, a)), a))
+        assert all(abs(tau * a) > specfun.NATIVE_MAX for _, tau, a in args)
+        results = run_while_mp_lock_held(
+            lambda: [boundary_wavenumber(*arg) for arg in args])
+        assert results == [boundary_wavenumber(*arg) for arg in args]
 
     def test_upper_sqrt_picks_decaying_root(self):
         assert specfun.upper_sqrt(complex(-4.0, -0.0)) == 2j
@@ -658,18 +675,22 @@ class TestBigArguments:
 class TestConcurrency:
     def test_parallel_mixed_lane_calls_are_consistent(self):
         # the extended-precision lane serialises on a shared lock; hammer
-        # it (boundary wavenumbers of desk-radius bumps, d = 1 and 2) and
-        # the double lane from several threads, requiring bitwise agreement
+        # it (secular residuals of desk-radius bumps, d = 1 and 2), their
+        # lock-free boundary wavenumbers and the double lane from several
+        # threads, requiring bitwise agreement
         from concurrent.futures import ThreadPoolExecutor
         desk = []
         for d in (1, 2):
             a = radius_for_index(d, 1.0, 10 ** 6)
-            desk.append(functools.partial(boundary_wavenumber, d,
-                                          complex(1.0, solve_eta(1.0, a)), a))
+            tau = complex(1.0, solve_eta(1.0, a))
+            k = boundary_wavenumber(d, tau, a)
+            problem = SecularProblem(d=d, c=k * k - tau * tau, a=a, branch_ref=tau)
+            desk += [functools.partial(secular_residual, problem, k),
+                     functools.partial(boundary_wavenumber, d, tau, a)]
         jobs = [desk[0], functools.partial(bessel_j, BesselQuery(-0.5, complex(1.0, 0.2))),
-                functools.partial(bessel_j, BesselQuery(1.5, complex(9e4, 2.0))),
+                desk[1], functools.partial(bessel_j, BesselQuery(1.5, complex(9e4, 2.0))),
                 functools.partial(bessel_j, BesselQuery(0.0, complex(25.0, 3.0))),
-                desk[1]] * 8
+                desk[2], desk[3]] * 8
         expected = [job() for job in jobs]
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda job: job(), jobs))
@@ -751,11 +772,25 @@ class TestErrors:
             bessel_j_ratio(0.3, z)
 
     @pytest.mark.parametrize("order,z", [(200.0, 100.0 + 0j), (171.0, 5.0 + 1.0j)])
-    def test_series_beyond_double_range_refused(self, order, z):
-        # Gamma(order + 1) overflows a double: an AccuracyError, not a
-        # bare OverflowError
+    def test_series_beyond_gamma_overflow(self, order, z):
+        # (z/2)^order and Gamma(order + 1) overflow a double, J does not
+        with mpmath.workdps(50):
+            want = complex(mpmath.besselj(order, mpmath.mpc(z)))
+        assert bessel_j(BesselQuery(order, z)) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("order,z", [(-1.5, 0.5 + 0.2j), (-2.5, 1.0 - 1.0j),
+                                         (-3.5, 2.0 + 0.5j)])
+    def test_series_negative_half_integer_sign(self, order, z):
+        # _jv sends these orders to Hankel's kernel; the series itself
+        # takes 1/Gamma(order + 1) < 0 at order -3/2, -7/2, ...
+        with mpmath.workdps(50):
+            want = complex(mpmath.besselj(order, mpmath.mpc(z)))
+        assert specfun._jv_series(order, z) == pytest.approx(want, rel=1e-13)
+
+    def test_series_result_beyond_double_range_refused(self):
+        # J_1500(1500i) ~ e^800: an AccuracyError, not an infinity
         with pytest.raises(AccuracyError):
-            bessel_j(BesselQuery(order, z))
+            bessel_j(BesselQuery(1500.0, 1500j))
 
     def test_accuracy_error_carries_estimate(self):
         # an impossible target below Hankel's band must fail loudly
