@@ -18,21 +18,23 @@ A double argument is exact, and libm reduces its cos and sin to below an
 ulp at any size, so ``bessel_j`` and ``bessel_j_ratio`` run in double
 precision at every |z|.  A phase formed from a product beyond ``|z| ~
 3e4`` (NATIVE_MAX) would lose more than the accuracy this library
-promises to its rounding.  A bump's z = tau * a is a product of two
-doubles, so ``bessel_ratio_exact`` forms it exactly on ints and takes
-cos z and sin z from mpmath's integer layer (``libmp``) at the phase's
-precision (``phase_digits``), with no mpmath working precision or lock.
-Callers whose phase is not such a product (the transfer and secular
-solves) pick their arithmetic through the package's one precision lane
-(``lane``), which delegates to mpmath at that same precision.
+promises to its rounding, so beyond it the ratio runs on exact ints at
+the phase's precision (``phase_digits``): a bump's z = tau * a, a product
+of two doubles, in ``bessel_ratio_exact``, and an mpmath lane argument, an
+exact binary number, in ``bessel_ratio_mp``.  cos z and sin z then come
+from mpmath's integer layer (``libmp``); no mpmath number or working
+precision enters the kernel.  The transfer and secular solves pick their
+arithmetic through the package's one precision lane (``lane``), which
+delegates to mpmath at that same precision.
 
-Hankel's expansion has one evaluator for every arithmetic, an integer
-kernel (``_fixed_forms``) fed with cos z and sin z as scaled ints.  The
-ratio J_{n-1}(z)/J_n(z) (``_ratio``, ``bessel_ratio_exact``) is the
-quotient of two of its forms wherever Hankel's expansion serves, and
-always beyond NATIVE_MAX; else the quotient of two series values.  Near
-a zero of the denominator it raises PoleError, by one rule for all
-(``_near_pole``).
+Hankel's expansion has one evaluator, an integer kernel
+(``_fixed_forms``) fed with cos z and sin z as scaled ints and z as
+exact ints, from a double or from the exact path.  The ratio
+J_{n-1}(z)/J_n(z) is the quotient of two of its forms (``_hankel_ratio``)
+wherever Hankel's expansion serves, and always on the exact path; else
+the quotient of two series values.  Near a zero of the denominator it
+raises PoleError: for the forms by one rule at the lane's precision, 53
+bits for a double (``_near_pole``).
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ MP_LOCK = threading.RLock()
 
 # libmp keeps pi and log 2 at the highest precision asked for so far and
 # grows them by two unlocked writes, which a concurrent reader can see half
-# done.  ``bessel_ratio_exact`` calls libmp without MP_LOCK, so both are
-# filled here once beyond any precision the package asks for: phase_digits
-# of |z| < 2^1024, plus the magnitude bits of the reduction mod pi/2.
+# done.  ``bessel_ratio_exact`` and the double lane's pole rule call libmp
+# without MP_LOCK, so both are filled here once beyond any precision the
+# package asks for: phase_digits of |z| < 2^1024, plus the magnitude bits
+# of the reduction mod pi/2.
 libmp.pi_fixed(4096)
 libmp.ln2_fixed(4096)
 
@@ -251,7 +254,7 @@ def _jv_series(order: float, z: complex) -> complex:
     sign = math.copysign(1.0, math.sin(math.pi * (order + 1.0))) if order < -1.0 else 1.0
     try:
         front = sign * cmath.exp(order * cmath.log(z / 2.0) - math.lgamma(order + 1.0))
-        value = _rounded(total_re, total_im, 1 << bits, z) * front
+        value = _rounded(total_re, total_im, 1 << bits) * front
         if cmath.isfinite(value):
             return value
     except OverflowError:
@@ -262,9 +265,8 @@ def _jv_series(order: float, z: complex) -> complex:
 def _jv_hankel(order: float, z: complex) -> complex:
     """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
     pi/4, for a double z with Re z >= 0, by the integer kernel."""
-    bits = _bits(z)
-    (form,) = _forms((order,), z, bits)
-    return cmath.sqrt(2.0 / (math.pi * z)) * _rounded(*form, 1 << bits, z)
+    (form,) = _fixed_forms((order,), abs(z), _cos_sin(z), _exact(z), DOUBLE_BITS)
+    return cmath.sqrt(2.0 / (math.pi * z)) * _rounded(*form, 1 << DOUBLE_BITS)
 
 
 def _chi(l: int) -> float:
@@ -286,72 +288,78 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
     l >= |order| - 1/2 at which the DLMF 10.17(iv) remainder bound
     2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
     falls below 2^-(bits + 10); X(l) = ``_chi(l)``, and with it the bound
-    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).  Raises
-    AccuracyError when |z| is too small for the precision, i.e. the terms
-    start to grow first.
+    covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).  The
+    bound is kept as a double times 2^scale, so that it and the tolerance
+    compare by exponent at any precision, where 2^-(bits + 10) would
+    underflow.  Raises AccuracyError when |z| is too small for the
+    precision, i.e. the terms start to grow first, InvalidArgumentError
+    for a non-finite |z|.
     """
     if order % 1.0 == 0.5:
         return round(abs(order) - 0.5)
+    if not math.isfinite(az):
+        raise InvalidArgumentError("Hankel expansion at |z| = %r" % (az,))
     mu = 4.0 * order * order
-    tol = 2.0 ** -(bits + 10)
     front = 2.0 * math.exp(abs(0.25 * mu - 0.25) * 0.5 * math.pi / az)
-    size = 1.0  # |a_k(order)| / |z|^k
+    size, scale = 1.0, 0  # |a_k(order)| / |z|^k = size 2^scale
     k = 0
     while True:
         k += 1
         step = abs(mu - (2 * k - 1) ** 2) / (8.0 * k * az)
-        size *= step
+        size, exponent = math.frexp(size * step)
+        scale += exponent
         bound = front * (_CHI[k] if k < len(_CHI) else _chi(k)) * size
-        if k >= abs(order) - 0.5 and bound < tol:
+        if k >= abs(order) - 0.5 and math.frexp(bound)[1] + scale <= -(bits + 10):
             return k - 1
         if step >= 1.0 and k > abs(order) + 0.5:
+            # from scale 0 on the bound exceeds J itself: no digit is left
             raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
-                                % (bits, az), achieved=bound)
+                                % (bits, az),
+                                achieved=math.ldexp(bound, scale) if scale < 0 else math.inf)
 
 
-# The Hankel kernel of every arithmetic.  After cos z and sin z, whose
-# argument reduction needs the arithmetic of z (cmath, mpmath.cos_sin, or
-# libmp on an exact product of doubles), Hankel's forms run on Python ints
-# holding a complex number as an (re, im) pair scaled by 2^bits, bits =
-# (53 or the mpmath precision) + FIXED_GUARD (``_bits``), and the result
-# is rounded once back into that arithmetic (``_rounded``).
+# The Hankel kernel.  Its numbers are Python ints: a complex as an (re, im)
+# pair scaled by 2^bits, bits = prec + FIXED_GUARD, where prec is 53 for a
+# double argument and the phase's precision beyond it, and z itself
+# exactly, as (x + iy)/2^s.  cos z and sin z come in scaled alike: from
+# cmath for a double z (``_cos_sin``), from mpmath's integer layer
+# (``libmp``) at prec bits otherwise (``_exact_ratio``).  A result is
+# rounded once, to a double (``_rounded``) or to prec bits.
 # Products are truncated to 2^-bits, so every value carries an absolute
 # error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
 # or more.  The smallest form the ratio divides by is its pole threshold,
 # 1e-12 ~ 2^-40 of that size, so 40 guard bits keep even it at the
 # working precision.  The series (``_jv_series``) runs on the same ints.
 FIXED_GUARD = 40
+DOUBLE_BITS = 53 + FIXED_GUARD
 
 
-def _bits(z) -> int:
-    """The kernel's scale exponent for z: a complex never reads mpmath's
-    precision, so the double lane stays lock-free."""
-    return (53 if isinstance(z, complex) else mpmath.mp.prec) + FIXED_GUARD
+def _fixed(x: float, bits: int) -> int:
+    """A float as an int over 2^bits: exactly, then floored."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den
 
 
-def _fixed(x, bits: int) -> int:
-    """A float (exactly, then floored) or an mpmath real as an int over 2^bits."""
-    if isinstance(x, float):
-        num, den = x.as_integer_ratio()
-        return (num << bits) // den
-    return mpmath.libmp.to_fixed(x._mpf_, bits)
-
-
-def _rounded(re: int, im: int, den: int, z):
-    """(re + i im)/den in the arithmetic of z, each part rounded once: by
-    int true division for a complex, to the working precision for an
-    mpmath number."""
-    if isinstance(z, complex):
-        return complex(re / den, im / den)
-    prec = mpmath.mp.prec
-    return mpmath.mp.make_mpc((mpmath.libmp.from_rational(re, den, prec, "n"),
-                               mpmath.libmp.from_rational(im, den, prec, "n")))
+def _rounded(re: int, im: int, den: int) -> complex:
+    """(re + i im)/den as a complex, each part rounded once."""
+    return complex(re / den, im / den)
 
 
 def _exact(z: complex):
     """A complex as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
     s = max(v.as_integer_ratio()[1] for v in (z.real, z.imag)).bit_length() - 1
     return _fixed(z.real, s), _fixed(z.imag, s), s
+
+
+def _cos_sin(z: complex):
+    """cos z and sin z of a double z as pairs scaled by 2^DOUBLE_BITS.  An
+    AccuracyError beyond |Im z| = 700, where cos z leaves the double
+    range."""
+    if abs(z.imag) > 700.0:
+        raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
+                            achieved=math.inf)
+    return [(_fixed(v.real, DOUBLE_BITS), _fixed(v.imag, DOUBLE_BITS))
+            for v in (cmath.cos(z), cmath.sin(z))]
 
 
 def _fixed_mul(a, b, bits: int):
@@ -362,8 +370,8 @@ def _fixed_mul(a, b, bits: int):
 
 def _fixed_w(x: int, y: int, s: int, bits: int):
     """w = 1/(8z) = conj(z)/(8|z|^2), Hankel's expansion variable, as a
-    scaled-int pair, from z = (x + iy) / 2^s: exact for a complex or a
-    product of doubles, so that a small |z| keeps all its digits."""
+    scaled-int pair, from the exact z = (x + iy) / 2^s, so that a small
+    |z| keeps all its digits."""
     norm = 8 * (x * x + y * y)
     return (x << s + bits) // norm, (-y << s + bits) // norm
 
@@ -405,25 +413,6 @@ def _pq_coeffs(mu: int, terms: int, bits: int):
         den *= k
         coeffs.append((num << bits) // den)
     return tuple(reversed(coeffs[0::2])), tuple(reversed(coeffs[1::2]))
-
-
-def _forms(orders, z, bits: int):
-    """``_fixed_forms`` at a complex or an mpmath z with Re z >= 0, bits =
-    ``_bits(z)``: cos z and sin z in the arithmetic of z, and z exactly
-    for a complex, floored to 2^-bits for an mpmath number.  A complex
-    beyond |Im z| = 700 is an AccuracyError: its cos z leaves the double
-    range."""
-    if isinstance(z, complex):
-        if abs(z.imag) > 700.0:
-            raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
-                                achieved=math.inf)
-        cos_sin, parts = (cmath.cos(z), cmath.sin(z)), _exact(z)
-    else:
-        cos_sin = mpmath.cos_sin(z)
-        parts = _fixed(z.real, bits), _fixed(z.imag, bits), bits
-    return _fixed_forms(orders, abs(complex(z)),
-                        [(_fixed(v.real, bits), _fixed(v.imag, bits)) for v in cos_sin],
-                        parts, bits)
 
 
 def _fixed_forms(orders, az: float, cos_sin, parts, bits: int):
@@ -489,8 +478,20 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
 
 
 def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
-    """``_ratio`` at the caller's mpmath precision: the mpmath lane's entry."""
-    return _ratio(order, z)
+    """J_{order-1}(z)/J_order(z) at mpmath's working precision: the mpmath
+    lane's entry.  An mpc is an exact binary number (x + iy)/2^s, so it
+    takes ``bessel_ratio_exact``'s integer path at that precision, and the
+    exact fraction is rounded once back to an mpc.  InvalidArgumentError
+    for a non-finite or zero z.
+    """
+    z = mpmath.mpc(z)
+    if not (mpmath.isfinite(z) and z):
+        raise InvalidArgumentError("bessel_ratio_mp requires a finite nonzero argument")
+    parts = [(-int(man) if sign else int(man), exp) for sign, man, exp, _ in z._mpc_]
+    s = max(0, *(-exp for _, exp in parts))
+    prec = mpmath.mp.prec
+    re, im, den = _exact_ratio(order, *(man << exp + s for man, exp in parts), s, prec)
+    return mpmath.mp.make_mpc(tuple(libmp.from_rational(v, den, prec, "n") for v in (re, im)))
 
 
 def bessel_ratio_exact(order: float, tau: complex, a: float):
@@ -498,90 +499,86 @@ def bessel_ratio_exact(order: float, tau: complex, a: float):
     doubles, |z| beyond NATIVE_MAX, as ints (re, im, den): the ratio is
     (re + i im)/den exactly, for the caller to round once.
 
-    z is (x + iy)/2^s on ints.  cos z and sin z come from mpmath's integer
-    layer (``libmp.mpc_cos_sin``) at ``phase_digits(|tau a|)`` digits, the
-    precision of the mpmath lane, and the forms from the integer kernel;
-    no mpmath object, working precision or MP_LOCK is involved.  Re z < 0
-    takes ratio(-z) = -ratio(z).  ``_ratio``'s pole rule holds, its exact
-    test at that precision, and a PoleError carries the Newton distance
-    from the ints (``_exact_pole_error``).
+    z is (x + iy)/2^s on ints, and the ratio comes from ``_exact_ratio``
+    at ``phase_digits(|tau a|)`` digits, the precision of the mpmath lane;
+    no mpmath object, working precision or MP_LOCK is involved.
     """
     x, y, s = _exact(tau)
     num, den = a.as_integer_ratio()
-    x, y, s = x * num, y * num, s + den.bit_length() - 1
+    return _exact_ratio(order, x * num, y * num, s + den.bit_length() - 1,
+                        libmp.dps_to_prec(phase_digits(abs(tau * a))))
+
+
+def _exact_ratio(order: float, x: int, y: int, s: int, prec: int):
+    """``_hankel_ratio`` at z = (x + iy)/2^s with cos z and sin z from
+    mpmath's integer layer (``libmp.mpc_cos_sin``) at prec bits, whatever
+    |z|: Re z < 0 takes ratio(-z) = -ratio(z)."""
     sign = -1 if x < 0 else 1
     x, y = sign * x, sign * y
-    prec = libmp.dps_to_prec(phase_digits(abs(tau * a)))
     bits = prec + FIXED_GUARD
     cos_sin = libmp.mpc_cos_sin((libmp.from_man_exp(x, -s), libmp.from_man_exp(y, -s)),
                                 prec, "n")
-    cur, prev = _fixed_forms(
-        (order, order - 1.0), abs(complex(x / (1 << s), y / (1 << s))),
-        [(libmp.to_fixed(re, bits), libmp.to_fixed(im, bits)) for re, im in cos_sin],
-        (x, y, s), bits)
-
-    def below():
-        size = libmp.mpc_abs(tuple(libmp.from_rational(v, 1 << bits, prec, "n")
-                                   for v in cur), prec, "n")
-        limit = libmp.mpf_exp(libmp.from_man_exp(abs(y), -s), prec, "n")
-        return libmp.mpf_lt(size, libmp.mpf_mul(libmp.from_float(1e-12), limit, prec, "n"))
-
-    if _near_pole(cur, bits, abs(y / (1 << s)), below):
-        raise _exact_pole_error(order, x, y, s, prev, cur)
-    re, im, norm = _quotient(prev, cur)
-    return sign * re, sign * im, norm
+    re, im, den = _hankel_ratio(
+        order, (x, y, s),
+        [(libmp.to_fixed(re, bits), libmp.to_fixed(im, bits)) for re, im in cos_sin], prec)
+    return sign * re, sign * im, den
 
 
-def _ratio(order: float, z):
-    """J_{order-1}(z)/J_order(z) in the arithmetic of z.
+def _ratio(order: float, z: complex) -> complex:
+    """J_{order-1}(z)/J_order(z) in double precision.
 
-    Where Hankel's expansion serves both orders (``_hankel_serves``), and
-    always for an mpmath z, the two Hankel forms from the integer kernel, in which
-    sqrt(2/(pi z)) cancels: ratio(-z) = -ratio(z) for Re z < 0, then prev
-    conj(cur)/|cur|^2, an exact fraction of ints rounded once.  Otherwise
-    the quotient of two ``_jv`` values.  One pole rule: PoleError with the
-    Newton distance |J_order/J_order'| when |J_order| < 1e-12 of its
-    envelope, e^{|Im z|} for the forms (``_near_pole``) and ``_envelope``
-    for ``_jv``.
+    Where Hankel's expansion serves both orders (``_hankel_serves``),
+    ``_hankel_ratio`` at 53 bits, ratio(-z) = -ratio(z) for Re z < 0,
+    rounded once.  Otherwise the quotient of two ``_jv`` values, with
+    PoleError (``_pole_error``) when |J_order| < 1e-12 ``_envelope(z)``.
     """
-    if isinstance(z, complex) and not all(
-            _hankel_serves(n, abs(z)) for n in (order, order - 1.0)):
+    if not all(_hankel_serves(n, abs(z)) for n in (order, order - 1.0)):
         prev, cur = _jv(order - 1.0, z), _jv(order, z)
         if abs(cur) < 1e-12 * _envelope(z):
             raise _pole_error(order, z, prev, cur)
         return prev / cur
     if z.real < 0:
         return -_ratio(order, -z)
-    bits = _bits(z)
-    cur, prev = _forms((order, order - 1.0), z, bits)
-    exp = math.exp if isinstance(z, complex) else mpmath.exp
-    if _near_pole(cur, bits, abs(float(z.imag)),
-                  lambda: abs(_rounded(*cur, 1 << bits, z)) < 1e-12 * exp(abs(z.imag))):
-        raise _pole_error(order, z, _rounded(*prev, 1 << bits, z),
-                          _rounded(*cur, 1 << bits, z))
-    return _rounded(*_quotient(prev, cur), z)
+    return _rounded(*_hankel_ratio(order, _exact(z), _cos_sin(z), 53))
 
 
-def _quotient(prev, cur):
-    """prev / cur of two scaled-int pairs as the exact fraction
-    (re, im, den) = (prev conj(cur), |cur|^2)."""
+def _hankel_ratio(order: float, parts, cos_sin, prec: int):
+    """J_{order-1}(z)/J_order(z) from the two Hankel forms, in which
+    sqrt(2/(pi z)) cancels, as the exact fraction (re, im, den) =
+    (prev conj(cur), |cur|^2) of ints, at z = (x + iy)/2^s with Re z >= 0
+    as the ints ``parts`` = (x, y, s), and (cos z, sin z) as pairs scaled
+    by 2^(prec + FIXED_GUARD).
+
+    The one pole rule of every Hankel ratio: PoleError when |J_order| <
+    1e-12 e^{|Im z|} at prec bits (``_near_pole``), with the Newton
+    distance formed on the ints (``_exact_pole_error``).
+    """
+    x, y, s = parts
+    bits = prec + FIXED_GUARD
+    cur, prev = _fixed_forms((order, order - 1.0), abs(complex(x / (1 << s), y / (1 << s))),
+                             cos_sin, parts, bits)
+    if _near_pole(cur, y, s, prec):
+        raise _exact_pole_error(order, x, y, s, prev, cur)
     return (prev[0] * cur[0] + prev[1] * cur[1], prev[1] * cur[0] - prev[0] * cur[1],
             cur[0] * cur[0] + cur[1] * cur[1])
 
 
-def _near_pole(cur, bits: int, abs_im: float, below) -> bool:
-    """The forms' pole rule: whether |J_order|, the form ``cur`` over
-    2^bits, lies below its threshold 1e-12 e^{|Im z|}.  Decided on the
-    float log of the ints, and within a factor 4 of the threshold by
-    ``below()``, the caller's test in its own arithmetic, as an exact test
-    would."""
+def _near_pole(cur, y: int, s: int, prec: int) -> bool:
+    """Whether |J_order|, the form ``cur`` over 2^(prec + FIXED_GUARD),
+    lies below its threshold 1e-12 e^{|Im z|}, Im z = y/2^s.  Decided on
+    the float log of the ints, and within a factor 4 of the threshold by
+    the exact test's rounding in libmp at prec bits."""
+    bits = prec + FIXED_GUARD
     norm = cur[0] * cur[0] + cur[1] * cur[1]
     if not norm:
         return True
-    gap = 0.5 * math.log(norm) - bits * math.log(2.0) - abs_im - math.log(1e-12)
-    if abs(gap) < math.log(4.0):
-        return below()
-    return gap < 0.0
+    gap = 0.5 * math.log(norm) - bits * math.log(2.0) - abs(y / (1 << s)) - math.log(1e-12)
+    if abs(gap) >= math.log(4.0):
+        return gap < 0.0
+    size = libmp.mpc_abs(tuple(libmp.from_rational(v, 1 << bits, prec, "n") for v in cur),
+                         prec, "n")
+    limit = libmp.mpf_exp(libmp.from_man_exp(abs(y), -s), prec, "n")
+    return libmp.mpf_lt(size, libmp.mpf_mul(libmp.from_float(1e-12), limit, prec, "n"))
 
 
 def _pole_error(order: float, z, prev, cur) -> PoleError:

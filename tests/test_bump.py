@@ -15,6 +15,8 @@ from eigenbump.bump import (BumpParams, PlacedBump, boundary_wavenumber,
                             potential_eval, radius_for_index, solve_eta)
 from eigenbump.errors import BudgetInfeasibleError, InvalidArgumentError, PoleError
 
+from conftest import reference_ratio
+
 
 class TestRadius:
     @pytest.mark.parametrize("d,nu,m,want", [
@@ -141,12 +143,13 @@ class TestBoundaryWavenumber:
 
 def lane_boundary_wavenumber(d, tau, a):
     """boundary_wavenumber as the mpmath lane computed it beyond
-    NATIVE_MAX: tau a rounded at the lane's precision, ``bessel_ratio_mp``,
+    NATIVE_MAX: tau a rounded at the lane's precision, the ratio in mpc
+    arithmetic as it ran before the integer kernel (``reference_ratio``),
     and k in mpc arithmetic with the double (d - 3)/(2a)."""
     with specfun.lane(abs(tau * a)) as ops:
         assert ops.mp
         tau_l = mpmath.mpc(tau)
-        ratio = specfun.bessel_ratio_mp(d / 2.0 - 1.0, tau_l * a)
+        ratio = reference_ratio(d / 2.0 - 1.0, tau_l * a)
         return complex(-1j * tau_l * ratio + 1j * (d - 3.0) / (2.0 * a))
 
 
@@ -158,7 +161,7 @@ def product_at_zero(order, near, lo, hi):
         zero = (round(near / math.pi) + order / 2.0 - 0.25) * mpmath.pi
         for _ in range(6):
             # J_order / J_order' from R = J_order / J_order+1, finite here
-            ratio = specfun.bessel_ratio_mp(order + 1.0, mpmath.mpc(zero))
+            ratio = reference_ratio(order + 1.0, mpmath.mpc(zero))
             zero -= (ratio / (order / zero * ratio - 1.0)).real
         a = float(zero)
         for _ in range(100000):

@@ -3,7 +3,11 @@
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +20,8 @@ from eigenbump.construct import build, enumerate_targets
 from eigenbump.eigensolve import SecularProblem, secular_residual
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
+
+from conftest import reference_pair, reference_ratio
 
 ORDERS = [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0]
 
@@ -272,78 +278,14 @@ class TestRatio:
             bessel_j_ratio(0.5, 0.0)
 
 
-def reference_hankel_pq(order, z):
-    """Hankel's P and Q summed in the arithmetic of z, as both lanes did
-    before the integer kernel: double for a complex (53 bits), mpc at the
-    working precision for an mpmath number; the same stop rule, with X(l)
-    evaluated per term."""
-    native = isinstance(z, complex)
-    bits = 53 if native else mpmath.mp.prec
-    mu = 4.0 * order * order if native else 4 * mpmath.mpf(order) ** 2
-    az, mu_f = abs(complex(z)), float(mu)
-    tol = 2.0 ** -(bits + 10)
-    front = 2.0 * math.exp(abs(0.25 * mu_f - 0.25) * 0.5 * math.pi / az)
-    w = 1 / (8 * z)
-    term, p, q = 1, 1, 0
-    size, k = 1.0, 0
-    while True:
-        k += 1
-        step = abs(mu_f - (2 * k - 1) ** 2) / (8.0 * k * az)
-        size *= step
-        x_k = math.sqrt(math.pi) * math.exp(
-            math.lgamma(0.5 * k + 1.0) - math.lgamma(0.5 * k + 0.5))
-        if k >= abs(order) - 0.5 and front * x_k * size < tol:
-            return p, q
-        if step >= 1.0 and k > abs(order) + 0.5:
-            raise AccuracyError("reference sum diverges", achieved=front * x_k * size)
-        term = term * w * (mu - (2 * k - 1) ** 2) / k
-        signed = -term if (k // 2) % 2 else term
-        if k % 2:
-            q += signed
-        else:
-            p += signed
-
-
-def reference_pair(order, z):
-    """(J_{order-1}, J_order) up to a common factor in the arithmetic of z,
-    for Re z >= 0 at integer orders: the forms of the ratio before the
-    integer kernel.  Half-integer orders: the cos/sin pair carried by the
-    three-term recurrence (in double only valid for |z| >= order - 1/2);
-    integer orders: two Hankel forms sharing one theta rotation."""
-    native = isinstance(z, complex)
-    cos_z, sin_z = (cmath.cos(z), cmath.sin(z)) if native else mpmath.cos_sin(z)
-    if order % 1.0 == 0.5:
-        prev, cur, n = cos_z, sin_z, 0.5
-        while n > order:
-            prev, cur, n = 2.0 * (n - 1.0) / z * prev - cur, prev, n - 1.0
-        while n < order:
-            prev, cur, n = cur, 2.0 * n / z * cur - prev, n + 1.0
-        return prev, cur
-    if native:
-        theta = (0.5 * order + 0.25) * math.pi
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-    else:
-        rot = mpmath.expjpi(0.5 * order + 0.25)
-        cos_t, sin_t = rot.real, rot.imag
-    cos_chi = cos_z * cos_t + sin_z * sin_t
-    sin_chi = sin_z * cos_t - cos_z * sin_t
-    p, q = reference_hankel_pq(order, z)
-    p_prev, q_prev = reference_hankel_pq(order - 1.0, z)
-    return -(p_prev * sin_chi + q_prev * cos_chi), p * cos_chi - q * sin_chi
-
-
-def reference_ratio(order, z):
-    """The ratio in the arithmetic of z, with its pole rule, as it ran
-    before the integer kernel (for a complex: at half-integer orders with
-    |z| >= order - 1/2 and at |z| >= 30)."""
-    if order % 1.0 != 0.5 and z.real < 0:
-        return -reference_ratio(order, -z)
-    prev, cur = reference_pair(order, z)
-    exp = math.exp if isinstance(z, complex) else mpmath.exp
-    if abs(cur) < 1e-12 * exp(abs(z.imag)):
-        slope = prev - (order / z) * cur
-        raise PoleError("reference pole", distance=float(abs(cur / slope)))
-    return prev / cur
+def run_bounded(code, seconds=60):
+    """The stdout of ``code`` run in a fresh interpreter, which is killed,
+    failing the test, if it has not returned within ``seconds``."""
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=seconds, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def ratio_outcome(ratio, order, z):
@@ -449,6 +391,40 @@ class TestIntegerKernel:
             assert kernel[1] == pytest.approx(factor * 1e-12 / abs(slope), rel=1e-3)
         else:
             assert kernel[1] == reference[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, math.sqrt(257.0 / 512.0)])
+    def test_mp_lane_is_the_exact_product_path(self, d, nu):
+        # an mpc holding a bump's tau a, exact at the lane's precision (at
+        # least 113 bits against the product's 106), gives the exact
+        # path's fraction rounded at that precision, bit for bit
+        order = d / 2.0 - 1.0
+        for m in [mant * 10 ** e for e in range(4, 19) for mant in (1, 3)]:
+            if m > 10 ** 18:
+                continue
+            a = radius_for_index(d, nu, m)
+            tau = complex(nu, solve_eta(nu, a))
+            with mpmath.workdps(specfun.phase_digits(abs(tau * a))):
+                prec = mpmath.mp.prec
+                z = mpmath.mpc(tau) * a
+                got = specfun.bessel_ratio_mp(order, z)
+                re, im, den = specfun.bessel_ratio_exact(order, tau, a)
+                assert got._mpc_ == (mpmath.libmp.from_rational(re, den, prec, "n"),
+                                     mpmath.libmp.from_rational(im, den, prec, "n"))
+
+    def test_mp_lane_builds_no_mpmath_objects(self, monkeypatch):
+        # cos z and sin z, the pole rule and the rounding all run on ints
+        # and libmp, also at a zero of J_{1/2}
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath object arithmetic in the ratio path")
+        monkeypatch.setattr(mpmath, "cos_sin", refuse)
+        monkeypatch.setattr(mpmath, "exp", refuse)
+        with mpmath.workdps(40):
+            for order in (0.0, 0.5, 1.0):
+                for z in (mpmath.mpc(1e6, 12.5), mpmath.mpc(-1e17, 0.5)):
+                    assert mpmath.isfinite(specfun.bessel_ratio_mp(order, z))
+            with pytest.raises(PoleError):
+                specfun.bessel_ratio_mp(0.5, mpmath.mpc(mpmath.pi * 10 ** 5))
 
 
 class TestInvariants:
@@ -742,6 +718,33 @@ class TestErrors:
     def test_negative_noninteger_order_at_origin(self):
         with pytest.raises(InvalidArgumentError):
             bessel_j(BesselQuery(-0.5, 0.0))
+
+    @pytest.mark.parametrize("re,im", [(math.inf, 1.0), (1e6, math.nan), (0.0, 0.0)])
+    def test_mp_lane_refuses_nonfinite_or_zero(self, re, im):
+        # once a misleading PoleError, a hang and a bare ZeroDivisionError
+        code = ("import mpmath\n"
+                "from eigenbump import specfun\n"
+                "from eigenbump.errors import InvalidArgumentError\n"
+                "try:\n"
+                "    specfun.bessel_ratio_mp(0.0, mpmath.mpc(float(%r), float(%r)))\n"
+                "except InvalidArgumentError:\n"
+                "    print('refused')\n" % (str(re), str(im)))
+        assert run_bounded(code).strip() == "refused"
+
+    def test_hankel_terms_stop_beyond_double_exponents(self):
+        # 2^-(1066 + 10) underflows a double: the first term, 1/(8|z|) ~
+        # 2^-965, is kept and the second, ~2^-1930, ends the sum
+        code = "from eigenbump import specfun; print(specfun._hankel_terms(0.0, 1e290, 1066))"
+        assert run_bounded(code).strip() == "1"
+        with pytest.raises(InvalidArgumentError):
+            specfun._hankel_terms(0.0, math.inf, 53)
+
+    def test_d2_boundary_wavenumber_beyond_double_exponents(self):
+        # m = 1e290 takes 320 digits, 1066 bits, on the exact-product path
+        code = ("from eigenbump.bump import boundary_wavenumber, radius_for_index, solve_eta\n"
+                "a = radius_for_index(2, 1.0, 10 ** 290)\n"
+                "print(boundary_wavenumber(2, complex(1.0, solve_eta(1.0, a)), a).imag)")
+        assert float(run_bounded(code)) > 0.0
 
     def test_mp_hankel_refuses_small_argument(self):
         # at |z| ~ 5 the expansion's smallest term is ~e^{-10}, far above
