@@ -102,16 +102,16 @@ def solve_eta(nu: float, a: float) -> float:
     """Unique eta > 0 with eta e^{2 eta a} = nu, in closed form:
     eta = W(2 a nu) / (2 a) with W the principal Lambert function.
 
-    Raises AccuracyError when the residual exceeds 1e-13 nu.
+    Raises AccuracyError when the residual is not within 1e-13 nu.
     """
     # imported here: scipy.special adds ~0.1 s to every command's start
     import scipy.special
 
-    if not (nu > 0.0 and a > 0.0):
-        raise InvalidArgumentError("solve_eta requires nu > 0 and a > 0")
+    if not (0.0 < nu < math.inf and 0.0 < a < math.inf):
+        raise InvalidArgumentError("solve_eta requires finite nu > 0 and a > 0")
     eta = float(scipy.special.lambertw(2.0 * a * nu).real) / (2.0 * a)
     residual = abs(eta * math.exp(2.0 * eta * a) - nu)
-    if residual > 1e-13 * nu:
+    if not residual <= 1e-13 * nu:
         raise AccuracyError("eta residual %.3e exceeds tolerance" % residual,
                             achieved=residual)
     return eta
@@ -262,7 +262,8 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
     Desk-scale budgets need indices around 1e5..1e17, which the search
     reaches in O(log m) probes.  The residual confirmation may still move
     the index up by a few steps.  Raises BudgetInfeasibleError naming the
-    constraint index m_cap fails when no probe up to it works.
+    constraint the last probe fails when no probe up to m_cap works, or
+    up to the last index whose radius and eta are finite (``_in_range``).
     """
     _check_dim(d)
     if not p > d:
@@ -285,11 +286,11 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
         fail, found = probe(m)
         if fail is None:
             break
-        if m >= m_cap:
+        lo, m = m, min(max(2 * m, 1), m_cap)
+        if lo >= m_cap or not _in_range(d, nu, m):
             raise BudgetInfeasibleError(
                 "no bump index up to %d meets all budgets (last failure: %s)"
-                % (m_cap, fail), failed_constraint=fail)
-        lo, m = m, min(max(2 * m, 1), m_cap)
+                % (lo, fail), failed_constraint=fail)
     while found.m - lo > 1:
         fail, params = probe((lo + found.m) // 2)
         if fail is None:
@@ -298,6 +299,15 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
             lo = params.m
 
     return _finalize(found, p, eps, delta, r, m_cap)
+
+
+def _in_range(d: int, nu: float, m: int) -> bool:
+    """Whether index m's radius a and 2 a nu = (d/2 + 2m) pi, the argument
+    of its eta's Lambert function, are finite doubles (m below ~3e307)."""
+    try:
+        return math.isfinite(2.0 * nu * radius_for_index(d, nu, m))
+    except OverflowError:  # an int index that large overflows a float
+        return False
 
 
 def _finalize(params: BumpParams, p: float, eps: float, delta: float,

@@ -2,17 +2,14 @@
 complex argument.
 
 J has two expansions, both summed on Python ints scaled by 2^bits and
-rounded once:
-
-  * the ascending series (DLMF 10.2.2) below Hankel's band, with enough
-    bits that its e^|z| cancellation still leaves double precision,
-  * Hankel's large-argument expansion (DLMF 10.17.3) from its band on
-    (``_hankel_serves``): integer orders from |z| = max(30, |order| + 15),
-    half-integer orders, whose sum terminates at their closed form, from
-    |z| = order - 1/2.
-
-Other orders raise InvalidArgumentError: a bump in dimension d only asks
-for orders d/2 - 1 and d/2 - 2.
+rounded once: Hankel's (DLMF 10.17.3) wherever its terms fall until its
+remainder bound meets the precision (``_hankel_counts``, the one routing
+rule: at 53 bits from |z| = 22.2-22.6 for orders 0 to 3, from |z| =
+(n^2 - 1/4)/2 for larger and half-integer orders), and elsewhere, in
+double precision up to |z| = SERIES_MAX, the ascending series (DLMF
+10.2.2).  Every entry first checks for a finite argument and an integer
+or half-integer order (``_check``); a bump in dimension d only asks for
+orders d/2 - 1 and d/2 - 2.
 
 A double argument is exact, and libm reduces its cos and sin to below an
 ulp at any size, so ``bessel_j`` and ``bessel_j_ratio`` run in double
@@ -27,14 +24,9 @@ precision enters the kernel.  The transfer and secular solves pick their
 arithmetic through the package's one precision lane (``lane``), which
 delegates to mpmath at that same precision.
 
-Hankel's expansion has one evaluator, an integer kernel
-(``_fixed_forms``) fed with cos z and sin z as scaled ints and z as
-exact ints, from a double or from the exact path.  The ratio
-J_{n-1}(z)/J_n(z) is the quotient of two of its forms (``_hankel_ratio``)
-wherever Hankel's expansion serves, and always on the exact path; else
-the quotient of two series values.  Near a zero of the denominator it
-raises PoleError: for the forms by one rule at the lane's precision, 53
-bits for a double (``_near_pole``).
+Every ratio J_{n-1}(z)/J_n(z) is the quotient of two forms sqrt(pi z/2) J
+on ints (``_ratio_fraction``), from Hankel's integer kernel
+(``_fixed_forms``) or the series, with one reflection and one pole rule.
 """
 
 from __future__ import annotations
@@ -51,10 +43,11 @@ from mpmath import libmp
 
 from .errors import AccuracyError, InvalidArgumentError, PoleError
 
-ASYMPT_MIN = 30.0
 # largest phase a ``lane`` caller forms in double precision; above this
 # the phase error eps*scale of a rounded product would exceed ~1e-11
 NATIVE_MAX = 3.0e4
+# largest |z| the ascending series takes: a value costs ~|z|^2, 0.16 s at 4096
+SERIES_MAX = 4096.0
 
 # mpmath's working precision is process-global; every extended-precision
 # block in the package takes this (reentrant) lock so the native double
@@ -145,8 +138,7 @@ class BesselQuery:
         if not (self.accuracy_target > 0.0 and self.accuracy_target <= 1e-6):
             raise InvalidArgumentError(
                 "accuracy_target must lie in (0, 1e-6], got %r" % (self.accuracy_target,))
-        if not (math.isfinite(self.order) and cmath.isfinite(self.argument)):
-            raise InvalidArgumentError("order and argument must be finite")
+        _check(self.order, complex(self.argument))
 
 
 def gamma_real(x: float) -> float:
@@ -169,56 +161,37 @@ def bessel_j(query: BesselQuery) -> complex:
     return _jv(query.order, complex(query.argument), query.accuracy_target)
 
 
-def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
-    """J_order(z) to a relative tolerance ``target``.
-
-    Hankel's kernel where ``_hankel_serves``, with Re z < 0 first rotated
-    into the right half-plane, where its remainder bound holds; the series
-    elsewhere.  Either result carries the rounding of its double inputs, a
-    floor of 4e-16 of ``_envelope``, so a smaller ``target`` is an
-    AccuracyError.
-    """
+def _check(order: float, z: complex) -> None:
+    """The one input check of every entry: a finite argument and a finite
+    integer or half-integer order.  Both expansions read 2 order as an
+    int, so any other order would silently give another order's value."""
     if not (math.isfinite(order) and cmath.isfinite(z)):
-        raise InvalidArgumentError("bessel_j requires finite order and argument")
+        raise InvalidArgumentError("Bessel functions require finite order and argument")
     if (2.0 * order) % 1.0 != 0.0:
         raise InvalidArgumentError(
-            "bessel_j takes integer and half-integer orders only, got %r" % (order,))
+            "Bessel functions take integer and half-integer orders only, got %r" % (order,))
 
-    # negative integer order: J_{-m} = (-1)^m J_m
-    if order < 0.0 and order == math.floor(order):
-        m = int(-order)
-        return (-1.0) ** m * _jv(float(m), z, target)
 
-    az = abs(z)
-    if az == 0.0:
-        if order == 0.0:
-            return 1.0 + 0.0j
-        if order > 0.0:
-            return 0.0 + 0.0j
-        raise InvalidArgumentError(
-            "J_n(0) diverges for negative half-integer order %r" % (order,))
+def _jv(order: float, z: complex, target: float = 1e-12) -> complex:
+    """J_order(z) to a relative tolerance ``target``: Hankel's kernel where
+    ``_hankel_counts`` serves, the series elsewhere.  Either result carries
+    the rounding of its double inputs, a floor of 4e-16 of ``_envelope``,
+    so a smaller ``target`` is an AccuracyError.
+    """
+    _check(order, z)
+    if z == 0.0:
+        if order < 0.0 and order % 1.0:
+            raise InvalidArgumentError(
+                "J_n(0) diverges for negative half-integer order %r" % (order,))
+        return complex(order == 0.0)  # J_0(0) = 1, J_n(0) = 0
     if target < 4e-16:
         raise AccuracyError("J_n below the rounding floor of its double inputs",
                             achieved=4e-16)
-    if not _hankel_serves(order, az):
+    _double_range(z)
+    try:
+        return _jv_hankel(order, z)
+    except AccuracyError:
         return _jv_series(order, z)
-    if z.real < 0.0:
-        # J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
-        phase = cmath.exp(1j * math.pi * order) if z.imag >= 0.0 \
-            else cmath.exp(-1j * math.pi * order)
-        return phase * _jv_hankel(order, -z)
-    return _jv_hankel(order, z)
-
-
-def _hankel_serves(order: float, az: float) -> bool:
-    """Whether Hankel's expansion serves order ``order`` at |z| = az in
-    double precision: an integer order from max(ASYMPT_MIN, |order| + 15)
-    on, where its terms fall below 2^-63 before they grow; a half-integer
-    order, whose sum terminates, from |z| = order - 1/2 on, below which
-    its terms grow and cancel (ten digits at order 3/2, |z| = 1e-5)."""
-    if order % 1.0 == 0.5:
-        return az >= order - 0.5
-    return az >= max(ASYMPT_MIN, abs(order) + 15.0)
 
 
 def _jv_series(order: float, z: complex) -> complex:
@@ -229,16 +202,22 @@ def _jv_series(order: float, z: complex) -> complex:
     the exact z.  The terms reach e^|z| before they cancel to J ~
     e^|Im z|, so S runs at bits = 53 + FIXED_GUARD + ceil(|z| log2 e):
     its truncations then stay far below an ulp of ``_envelope``.  The sum
-    stops at the first term below 2^-bits, and the front factor is
-    applied once, formed in log space by ``math.lgamma``.  A J beyond the
-    double range is an AccuracyError.
+    stops at the first term below 2^-bits.  (z/2)^m, m = floor(n), and
+    Gamma(n + 1), over sqrt(pi) at a half-integer n, are fractions of ints,
+    so J is rounded once (then times sqrt(z/2)/sqrt(pi) at a half-integer
+    n).  AccuracyError beyond SERIES_MAX or the double range.
     """
+    if abs(z) > SERIES_MAX:
+        raise AccuracyError("J_%g(z) at |z| = %g is beyond the series" % (order, abs(z)),
+                            achieved=math.inf)
+    two_n, sign = round(2.0 * order), 1
+    if two_n < 0 and two_n % 2 == 0:  # J_{-n} = (-1)^n J_n
+        two_n, sign = -two_n, (-1) ** (-two_n // 2)
     x, y, s = _exact(z)
     bits = 53 + FIXED_GUARD + math.ceil(abs(z) / math.log(2.0))
     # -z^2/2 = (vr + i vi) / 2^(2s + 1), so a term times it over den is
     # one floor division by den 2^(2s + 1)
     vr, vi, scale = y * y - x * x, -2 * x * y, 2 * s + 1
-    two_n = round(2.0 * order)
     tr, ti = 1 << bits, 0
     total_re, total_im = tr, ti
     k = 0
@@ -248,13 +227,25 @@ def _jv_series(order: float, z: complex) -> complex:
         tr, ti = (tr * vr - ti * vi) // den, (tr * vi + ti * vr) // den
         total_re += tr
         total_im += ti
-    # (z/2)^n and Gamma(n + 1) each leave the double range beyond n = 170,
-    # their quotient need not; at a negative half-integer x = n + 1,
-    # 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi takes the sign of sin(pi x)
-    sign = math.copysign(1.0, math.sin(math.pi * (order + 1.0))) if order < -1.0 else 1.0
+    # Gamma(n + 1) = g_num / g_den from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi)
+    # by Gamma(x + 1) = x Gamma(x), x = t/2, down from x = n or up from n + 1
+    g_num, g_den = sign, 1
+    for t in range(two_n, 0, -2):
+        g_num, g_den = g_num * t, g_den * 2
+    for t in range(two_n + 2, 0, 2):
+        g_num, g_den = g_num * 2, g_den * t
+    # (z/2)^m = ((x + iy) / 2^(s+1))^m, through conj(z) / |z|^2 when m < 0
+    m = two_n // 2
+    pw_re, pw_im, cy = 1, 0, y if m >= 0 else -y
+    for _ in range(abs(m)):
+        pw_re, pw_im = pw_re * x - pw_im * cy, pw_re * cy + pw_im * x
+    num = g_den << (s + 1) * max(-m, 0)
+    den = g_num * (x * x + y * y) ** max(-m, 0) << bits + (s + 1) * max(m, 0)
     try:
-        front = sign * cmath.exp(order * cmath.log(z / 2.0) - math.lgamma(order + 1.0))
-        value = _rounded(total_re, total_im, 1 << bits) * front
+        value = complex((total_re * pw_re - total_im * pw_im) * num / den,
+                        (total_re * pw_im + total_im * pw_re) * num / den)
+        if two_n % 2:
+            value *= cmath.sqrt(0.5 * z) / math.sqrt(math.pi)
         if cmath.isfinite(value):
             return value
     except OverflowError:
@@ -264,8 +255,15 @@ def _jv_series(order: float, z: complex) -> complex:
 
 def _jv_hankel(order: float, z: complex) -> complex:
     """J_order(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (2n+1)
-    pi/4, for a double z with Re z >= 0, by the integer kernel."""
-    (form,) = _fixed_forms((order,), abs(z), _cos_sin(z), _exact(z), DOUBLE_BITS)
+    pi/4, for a double z by the integer kernel, Re z < 0 first rotated
+    into the right half-plane, where the remainder bound holds.
+    AccuracyError where ``_hankel_counts`` refuses the sum."""
+    if z.real < 0.0:
+        # J_n(z e^{+-i pi}) = e^{+-i n pi} J_n(z)
+        turn = 1j if z.imag >= 0.0 else -1j
+        return cmath.exp(turn * math.pi * order) * _jv_hankel(order, -z)
+    counts = _hankel_counts((order,), abs(z), 53)
+    (form,) = _fixed_forms((order,), counts, _cos_sin(z), _exact(z), DOUBLE_BITS)
     return cmath.sqrt(2.0 / (math.pi * z)) * _rounded(*form, 1 << DOUBLE_BITS)
 
 
@@ -281,41 +279,54 @@ _CHI = tuple(_chi(l) for l in range(64))
 
 
 def _hankel_terms(order: float, az: float, bits: int) -> int:
-    """How many terms P and Q of Hankel's expansion take at |z| = az.
+    """How many terms P and Q of Hankel's expansion take at |z| = az: the
+    one judge of where the expansion serves.
 
-    Half-integer orders take all |order| - 1/2 terms: the sums terminate
-    there, at the closed form.  Integer orders stop before the first index
-    l >= |order| - 1/2 at which the DLMF 10.17(iv) remainder bound
+    The terms must fall: a term larger than the one before ends the sum
+    with AccuracyError, as it costs its size in cancellation against cos z
+    and sin z (forced on, a ratio of half-integer orders misses 1e-14 once
+    its largest term passes 2, 4e-13 past 8).  Half-integer orders take
+    all |order| - 1/2 terms, where the sum terminates.  Integer orders stop
+    before the first index l >= |order| - 1/2 at which the DLMF 10.17(iv)
+    bound
     2 X(l) exp(|order^2 - 1/4| X(1)/|z|) |a_l(order)| / |z|^l
     falls below 2^-(bits + 10); X(l) = ``_chi(l)``, and with it the bound
     covers both Hankel remainders on |ph z| <= pi/2 (10.17.15).  The
     bound is kept as a double times 2^scale, so that it and the tolerance
     compare by exponent at any precision, where 2^-(bits + 10) would
-    underflow.  Raises AccuracyError when |z| is too small for the
-    precision, i.e. the terms start to grow first, InvalidArgumentError
-    for a non-finite |z|.
+    underflow.  InvalidArgumentError for a non-finite |z|.
     """
-    if order % 1.0 == 0.5:
-        return round(abs(order) - 0.5)
     if not math.isfinite(az):
         raise InvalidArgumentError("Hankel expansion at |z| = %r" % (az,))
     mu = 4.0 * order * order
-    front = 2.0 * math.exp(abs(0.25 * mu - 0.25) * 0.5 * math.pi / az)
+    # exp's argument is pi times the first term, so it stays below pi
+    # wherever the sum goes on; the cap keeps it finite until the first
+    # term, grown, ends the sum
+    front = 2.0 * math.exp(min(abs(0.25 * mu - 0.25) * 0.5 * math.pi / az, 700.0))
     size, scale = 1.0, 0  # |a_k(order)| / |z|^k = size 2^scale
     k = 0
     while True:
         k += 1
         step = abs(mu - (2 * k - 1) ** 2) / (8.0 * k * az)
+        if not step:
+            return k - 1  # a half-integer order's sum ends here
         size, exponent = math.frexp(size * step)
         scale += exponent
         bound = front * (_CHI[k] if k < len(_CHI) else _chi(k)) * size
-        if k >= abs(order) - 0.5 and math.frexp(bound)[1] + scale <= -(bits + 10):
+        if (order % 1.0 == 0.0 and k >= abs(order) - 0.5
+                and math.frexp(bound)[1] + scale <= -(bits + 10)):
             return k - 1
-        if step >= 1.0 and k > abs(order) + 0.5:
-            # from scale 0 on the bound exceeds J itself: no digit is left
-            raise AccuracyError("Hankel expansion cannot reach %d bits at |z| = %g"
+        if step > 1.0:
+            raise AccuracyError("Hankel's terms grow before they reach %d bits at |z| = %g"
                                 % (bits, az),
                                 achieved=math.ldexp(bound, scale) if scale < 0 else math.inf)
+
+
+def _hankel_counts(orders, az: float, prec: int):
+    """The one routing rule: Hankel's term counts for ``orders`` at |z| = az
+    and prec bits, or ``_hankel_terms``' AccuracyError where one does not
+    serve, on which the double lane takes the series."""
+    return [_hankel_terms(n, az, prec) for n in orders]
 
 
 # The Hankel kernel.  Its numbers are Python ints: a complex as an (re, im)
@@ -323,7 +334,7 @@ def _hankel_terms(order: float, az: float, bits: int) -> int:
 # double argument and the phase's precision beyond it, and z itself
 # exactly, as (x + iy)/2^s.  cos z and sin z come in scaled alike: from
 # cmath for a double z (``_cos_sin``), from mpmath's integer layer
-# (``libmp``) at prec bits otherwise (``_exact_ratio``).  A result is
+# (``libmp``) at prec bits otherwise (``_exact_forms``).  A result is
 # rounded once, to a double (``_rounded``) or to prec bits.
 # Products are truncated to 2^-bits, so every value carries an absolute
 # error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
@@ -351,15 +362,22 @@ def _exact(z: complex):
     return _fixed(z.real, s), _fixed(z.imag, s), s
 
 
-def _cos_sin(z: complex):
-    """cos z and sin z of a double z as pairs scaled by 2^DOUBLE_BITS.  An
-    AccuracyError beyond |Im z| = 700, where cos z leaves the double
-    range."""
+def _double_range(z: complex) -> None:
+    """The double lane's range check on either route: AccuracyError beyond
+    |Im z| = 700, where cos z and J of small orders leave the double range."""
     if abs(z.imag) > 700.0:
         raise AccuracyError("J_n exceeds the double range at Im z = %g" % z.imag,
                             achieved=math.inf)
-    return [(_fixed(v.real, DOUBLE_BITS), _fixed(v.imag, DOUBLE_BITS))
-            for v in (cmath.cos(z), cmath.sin(z))]
+
+
+def _cos_sin(z: complex):
+    """cos z and sin z of a double z, |Im z| <= 700, scaled by 2^DOUBLE_BITS."""
+    return [_fixed_pair(cmath.cos(z)), _fixed_pair(cmath.sin(z))]
+
+
+def _fixed_pair(v: complex):
+    """A double complex as a pair scaled by 2^DOUBLE_BITS."""
+    return _fixed(v.real, DOUBLE_BITS), _fixed(v.imag, DOUBLE_BITS)
 
 
 def _fixed_mul(a, b, bits: int):
@@ -415,19 +433,17 @@ def _pq_coeffs(mu: int, terms: int, bits: int):
     return tuple(reversed(coeffs[0::2])), tuple(reversed(coeffs[1::2]))
 
 
-def _fixed_forms(orders, az: float, cos_sin, parts, bits: int):
+def _fixed_forms(orders, counts, cos_sin, parts, bits: int):
     """sqrt(pi z/2) J_n(z) = P_n cos chi_n - Q_n sin chi_n for each n of
-    ``orders`` (integer or half-integer), Re z >= 0, as pairs scaled by
-    2^bits, from |z| = az, the pair (cos z, sin z) scaled alike and z =
-    (x + iy) / 2^s as the ints ``parts`` = (x, y, s).
+    ``orders``, Re z >= 0, as pairs scaled by 2^bits, from the term counts
+    of ``_hankel_counts``, the pair (cos z, sin z) scaled alike and z = (x
+    + iy) / 2^s as the ints ``parts`` = (x, y, s).
 
-    The term counts come from ``_hankel_terms`` at bits - FIXED_GUARD, and
     w = 1/(8z) is formed only if some count is not 0; w and cos z, sin z
     serve all orders.  chi_n = z - theta_n with theta_n = (2n + 1) pi/4,
     an odd or even number of eighth turns, so cos theta_n and sin theta_n
     are 0, +-1 or +-1/sqrt(2), each one int.
     """
-    counts = [_hankel_terms(n, az, bits - FIXED_GUARD) for n in orders]
     w = _fixed_w(*parts, bits) if any(counts) else None
     (cz_re, cz_im), (sz_re, sz_im) = cos_sin
     eighths = _eighths(bits)
@@ -462,18 +478,11 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
     every |z|: the argument is exact, and libm reduces its phase.
 
     Raises PoleError (with a Newton distance estimate) when z sits within
-    working tolerance of a zero of J_order, InvalidArgumentError for an
-    order that is neither an integer nor a half-integer.
+    working tolerance of a zero of J_order, InvalidArgumentError for z = 0
+    or an order that is neither an integer nor a half-integer.
     """
-    if not (math.isfinite(order) and cmath.isfinite(z)):
-        raise InvalidArgumentError("bessel_j_ratio requires finite inputs")
-    if (2.0 * order) % 1.0 != 0.0:
-        raise InvalidArgumentError(
-            "bessel_j_ratio takes integer and half-integer orders only, got %r"
-            % (order,))
     z = complex(z)
-    if z == 0.0:
-        raise InvalidArgumentError("ratio undefined at z = 0")
+    _check(order, z)
     return _ratio(order, z)
 
 
@@ -485,12 +494,12 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
     for a non-finite or zero z.
     """
     z = mpmath.mpc(z)
-    if not (mpmath.isfinite(z) and z):
-        raise InvalidArgumentError("bessel_ratio_mp requires a finite nonzero argument")
+    _check(order, complex(z))
     parts = [(-int(man) if sign else int(man), exp) for sign, man, exp, _ in z._mpc_]
     s = max(0, *(-exp for _, exp in parts))
     prec = mpmath.mp.prec
-    re, im, den = _exact_ratio(order, *(man << exp + s for man, exp in parts), s, prec)
+    re, im, den = _ratio_fraction(order, *(man << exp + s for man, exp in parts), s, prec,
+                                  _exact_forms)
     return mpmath.mp.make_mpc(tuple(libmp.from_rational(v, den, prec, "n") for v in (re, im)))
 
 
@@ -499,68 +508,65 @@ def bessel_ratio_exact(order: float, tau: complex, a: float):
     doubles, |z| beyond NATIVE_MAX, as ints (re, im, den): the ratio is
     (re + i im)/den exactly, for the caller to round once.
 
-    z is (x + iy)/2^s on ints, and the ratio comes from ``_exact_ratio``
-    at ``phase_digits(|tau a|)`` digits, the precision of the mpmath lane;
-    no mpmath object, working precision or MP_LOCK is involved.
+    z is (x + iy)/2^s on ints, and the forms (``_exact_forms``) run at
+    ``phase_digits(|tau a|)`` digits, the mpmath lane's precision; no
+    mpmath object, working precision or MP_LOCK is involved.
     """
+    _check(order, complex(tau) * a)
     x, y, s = _exact(tau)
     num, den = a.as_integer_ratio()
-    return _exact_ratio(order, x * num, y * num, s + den.bit_length() - 1,
-                        libmp.dps_to_prec(phase_digits(abs(tau * a))))
-
-
-def _exact_ratio(order: float, x: int, y: int, s: int, prec: int):
-    """``_hankel_ratio`` at z = (x + iy)/2^s with cos z and sin z from
-    mpmath's integer layer (``libmp.mpc_cos_sin``) at prec bits, whatever
-    |z|: Re z < 0 takes ratio(-z) = -ratio(z)."""
-    sign = -1 if x < 0 else 1
-    x, y = sign * x, sign * y
-    bits = prec + FIXED_GUARD
-    cos_sin = libmp.mpc_cos_sin((libmp.from_man_exp(x, -s), libmp.from_man_exp(y, -s)),
-                                prec, "n")
-    re, im, den = _hankel_ratio(
-        order, (x, y, s),
-        [(libmp.to_fixed(re, bits), libmp.to_fixed(im, bits)) for re, im in cos_sin], prec)
-    return sign * re, sign * im, den
+    return _ratio_fraction(order, x * num, y * num, s + den.bit_length() - 1,
+                           libmp.dps_to_prec(phase_digits(abs(tau * a))), _exact_forms)
 
 
 def _ratio(order: float, z: complex) -> complex:
-    """J_{order-1}(z)/J_order(z) in double precision.
+    """J_{order-1}(z)/J_order(z) in double precision: ``_ratio_fraction``
+    at the exact z with the double lane's forms, rounded once."""
+    _double_range(z)
+    return _rounded(*_ratio_fraction(order, *_exact(z), 53, _double_forms))
 
-    Where Hankel's expansion serves both orders (``_hankel_serves``),
-    ``_hankel_ratio`` at 53 bits, ratio(-z) = -ratio(z) for Re z < 0,
-    rounded once.  Otherwise the quotient of two ``_jv`` values, with
-    PoleError (``_pole_error``) when |J_order| < 1e-12 ``_envelope(z)``.
+
+def _ratio_fraction(order: float, x: int, y: int, s: int, prec: int, forms):
+    """J_{order-1}(z)/J_order(z) at z = (x + iy)/2^s as the exact fraction
+    (re, im, den) = (prev conj(cur), |cur|^2) of ints, from the forms
+    (cur, prev) ~ sqrt(pi z/2) (J_order, J_{order-1}) over 2^(prec +
+    FIXED_GUARD) that the lane's ``forms`` gives at Re z >= 0.  Every ratio
+    passes here: Re z < 0 takes ratio(-z) = -ratio(z), and PoleError when
+    |J_order| < 1e-12 e^{|Im z|} at prec bits (``_near_pole``).
     """
-    if not all(_hankel_serves(n, abs(z)) for n in (order, order - 1.0)):
-        prev, cur = _jv(order - 1.0, z), _jv(order, z)
-        if abs(cur) < 1e-12 * _envelope(z):
-            raise _pole_error(order, z, prev, cur)
-        return prev / cur
-    if z.real < 0:
-        return -_ratio(order, -z)
-    return _rounded(*_hankel_ratio(order, _exact(z), _cos_sin(z), 53))
-
-
-def _hankel_ratio(order: float, parts, cos_sin, prec: int):
-    """J_{order-1}(z)/J_order(z) from the two Hankel forms, in which
-    sqrt(2/(pi z)) cancels, as the exact fraction (re, im, den) =
-    (prev conj(cur), |cur|^2) of ints, at z = (x + iy)/2^s with Re z >= 0
-    as the ints ``parts`` = (x, y, s), and (cos z, sin z) as pairs scaled
-    by 2^(prec + FIXED_GUARD).
-
-    The one pole rule of every Hankel ratio: PoleError when |J_order| <
-    1e-12 e^{|Im z|} at prec bits (``_near_pole``), with the Newton
-    distance formed on the ints (``_exact_pole_error``).
-    """
-    x, y, s = parts
-    bits = prec + FIXED_GUARD
-    cur, prev = _fixed_forms((order, order - 1.0), abs(complex(x / (1 << s), y / (1 << s))),
-                             cos_sin, parts, bits)
+    if not (x or y):
+        raise InvalidArgumentError("ratio undefined at z = 0")
+    sign = -1 if x < 0 else 1
+    x, y = sign * x, sign * y
+    cur, prev = forms((order, order - 1.0), x, y, s, prec)
     if _near_pole(cur, y, s, prec):
         raise _exact_pole_error(order, x, y, s, prev, cur)
-    return (prev[0] * cur[0] + prev[1] * cur[1], prev[1] * cur[0] - prev[0] * cur[1],
+    return (sign * (prev[0] * cur[0] + prev[1] * cur[1]),
+            sign * (prev[1] * cur[0] - prev[0] * cur[1]),
             cur[0] * cur[0] + cur[1] * cur[1])
+
+
+def _double_forms(orders, x: int, y: int, s: int, prec: int):
+    """The forms sqrt(pi z/2) J_n(z), n in ``orders``, at a double z = (x +
+    iy)/2^s: Hankel's where ``_hankel_counts`` serves, else the series'."""
+    z = complex(x / (1 << s), y / (1 << s))
+    try:
+        counts = _hankel_counts(orders, abs(z), prec)
+    except AccuracyError:
+        root = _fixed_pair(cmath.sqrt(0.5 * math.pi * z))
+        return [_fixed_mul(root, _fixed_pair(_jv_series(n, z)), DOUBLE_BITS) for n in orders]
+    return _fixed_forms(orders, counts, _cos_sin(z), (x, y, s), DOUBLE_BITS)
+
+
+def _exact_forms(orders, x: int, y: int, s: int, prec: int):
+    """The forms by Hankel's kernel at prec bits, cos z and sin z from
+    ``libmp.mpc_cos_sin``; AccuracyError where ``_hankel_counts`` refuses."""
+    counts = _hankel_counts(orders, abs(complex(x / (1 << s), y / (1 << s))), prec)
+    bits = prec + FIXED_GUARD
+    cos_sin = libmp.mpc_cos_sin((libmp.from_man_exp(x, -s), libmp.from_man_exp(y, -s)),
+                                prec, "n")
+    cos_sin = [(libmp.to_fixed(re, bits), libmp.to_fixed(im, bits)) for re, im in cos_sin]
+    return _fixed_forms(orders, counts, cos_sin, (x, y, s), bits)
 
 
 def _near_pole(cur, y: int, s: int, prec: int) -> bool:
@@ -581,19 +587,11 @@ def _near_pole(cur, y: int, s: int, prec: int) -> bool:
     return libmp.mpf_lt(size, libmp.mpf_mul(libmp.from_float(1e-12), limit, prec, "n"))
 
 
-def _pole_error(order: float, z, prev, cur) -> PoleError:
-    """The PoleError for z within tolerance of a zero of J_order, with the
-    Newton distance |J_order/J_order'|, J_order' = J_{order-1} - (order/z)
-    J_order, from the pair (prev, cur) ~ (J_{order-1}, J_order)."""
-    slope = prev - (order / z) * cur
-    return PoleError("z=%s lies within tolerance of a zero of J_%g" % (z, order),
-                     distance=float(abs(cur / slope)) if slope != 0 else 0.0)
-
-
 def _exact_pole_error(order: float, x: int, y: int, s: int, prev, cur) -> PoleError:
-    """``_pole_error`` at z = (x + iy)/2^s from the scaled-int forms: with
-    slope = 2 (x + iy) prev - 2 order 2^s cur, J_order/J_order' = 2 (x + iy)
-    cur / slope exactly, and its modulus is rounded once."""
+    """Every PoleError: z = (x + iy)/2^s is near a zero of J_order, at the
+    Newton distance |J_order/J_order'|, J_order' = J_{order-1} - (order/z)
+    J_order.  From the forms, with slope = 2 (x + iy) prev - 2 order 2^s
+    cur, J_order/J_order' = 2 (x + iy) cur / slope exactly."""
     two_n = round(2.0 * order)
     slope = (2 * (x * prev[0] - y * prev[1]) - (two_n * cur[0] << s),
              2 * (x * prev[1] + y * prev[0]) - (two_n * cur[1] << s))

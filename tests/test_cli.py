@@ -75,6 +75,15 @@ class TestBumpCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_cap_beyond_double_range_stops_gallop(self, capsys):
+        # radius_for_index is inf from m ~ 1e308 on and eta nan with it: the
+        # gallop stops at the last index whose bump the doubles still hold
+        code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
+                    "--eps", "1e-300", "--delta", "1e-300", "--r", "1e-300",
+                    "--m-cap", str(10 ** 400)])
+        assert code == 2
+        assert "no bump index up to 2247116418577894884" in capsys.readouterr().err
+
     def test_negative_cap_rejected(self, capsys):
         code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
                     "--eps", "0.5", "--delta", "0.5", "--r", "0.1",

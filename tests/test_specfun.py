@@ -278,6 +278,20 @@ class TestRatio:
             bessel_j_ratio(0.5, 0.0)
 
 
+def hankel_edge(order, prec=53):
+    """The smallest |z|, to ~1e-9 relative, from which ``_hankel_counts``
+    lets Hankel's sum serve ``order`` at prec bits."""
+    lo, hi = 0.01, 1e6
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        try:
+            specfun._hankel_counts((order,), mid, prec)
+            hi = mid
+        except AccuracyError:
+            lo = mid
+    return hi
+
+
 def run_bounded(code, seconds=60):
     """The stdout of ``code`` run in a fresh interpreter, which is killed,
     failing the test, if it has not returned within ``seconds``."""
@@ -492,9 +506,10 @@ class TestInvariants:
 
 
 class TestHankelBand:
-    """Hankel's expansion, one integer kernel serving both lanes, from |z| =
-    max(30, |order| + 15) for integer orders, and from |z| = order - 1/2
-    for half-integer orders, where it terminates."""
+    """Hankel's expansion, one integer kernel serving both lanes wherever
+    its terms fall until the remainder bound is met (``hankel_edge``): for
+    integer orders 0-3 from |z| = 22.2-22.6, and for larger or
+    half-integer orders, whose sums terminate, from |z| = (n^2 - 1/4)/2."""
 
     @pytest.mark.parametrize("order", [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
     def test_half_integer_closed_form_below_30(self, order):
@@ -550,30 +565,54 @@ class TestHankelBand:
             bessel_j_ratio(order, z)
 
     def test_integer_orders_served_wherever_routed(self):
-        # every integer order that _hankel_serves hands to Hankel's kernel
-        # reaches 53 bits there, so none raises AccuracyError
+        # the routing rule's edge: the remainder bound's for orders 0-3, the
+        # first term's (4 n^2 - 1)/(8 |z|) <= 1 from order 7 on; Hankel's
+        # sum serves everywhere above it, and bessel_j matches besselj there
         for n in range(201):
-            start = max(specfun.ASYMPT_MIN, n + 15.0)
-            for az in (start, start + 0.25, start + 1.0, 2.0 * start, 10.0 * start, 1e6):
-                assert specfun._hankel_serves(float(n), az)
-                specfun._hankel_terms(float(n), az, 53)
-            assert not specfun._hankel_serves(float(n), start - 0.25)
+            edge = hankel_edge(float(n))
+            if n <= 3:
+                assert 22.1 < edge < 22.7
+            elif n >= 7:
+                assert edge == pytest.approx((4 * n * n - 1) / 8.0, rel=1e-9)
+            for az in (edge, edge + 0.25, edge + 1.0, 2.0 * edge, 10.0 * edge, 1e6):
+                specfun._hankel_counts((float(n),), az, 53)
+            with pytest.raises(AccuracyError):
+                specfun._hankel_counts((float(n),), edge - 0.25, 53)
+            z = complex(edge, 0.0) if n % 2 else complex(math.sqrt(edge ** 2 - 1.0), 1.0)
+            want = mp_j(n, z)
+            got = bessel_j(BesselQuery(float(n), z))
+            assert abs(got - want) <= 2e-15 * max(abs(want), specfun._envelope(z))
 
     @pytest.mark.parametrize("order,z", [(-16.0, 31.0 + 0.5j), (-20.0, 35.5 + 0j)])
     def test_ratio_routes_by_both_orders(self, order, z):
-        # J_{order-1} has the larger |order| here: Hankel's band holds for
-        # J_order but not for it, so both take the series
-        want = mp_j(order - 1.0, z) / mp_j(order, z)
-        assert bessel_j_ratio(order, z) == pytest.approx(want, rel=1e-13)
+        # J_{order-1} has the larger |order|: between the two orders' edges
+        # Hankel's sum serves J_order but not J_{order-1}, so both take the
+        # series; from the second edge on both take Hankel's
+        edge, prev_edge = hankel_edge(order), hankel_edge(order - 1.0)
+        assert edge < prev_edge
+        between = 0.5 * (edge + prev_edge)
+        specfun._hankel_counts((order,), between, 53)
+        with pytest.raises(AccuracyError):
+            specfun._hankel_counts((order, order - 1.0), between, 53)
+        for r in (between, prev_edge):
+            w = z * r / abs(z)
+            want = mp_j(order - 1.0, w) / mp_j(order, w)
+            assert bessel_j_ratio(order, w) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n", [3, 20, 60, 120, 200])
     def test_integer_order_at_band_edge(self, n):
-        start = max(specfun.ASYMPT_MIN, n + 15.0)
-        for az in (start, 1.5 * start):
+        # Hankel's sum at and above the routing rule's edge; just below it
+        # the series, or an AccuracyError beyond SERIES_MAX
+        edge = hankel_edge(float(n))
+        for az in (edge - 0.5, edge, 1.5 * edge):
             for im in (0.0, 3.0):
                 z = complex(math.sqrt(az * az - im * im), im)
                 want = mp_j(n, z)
-                got = bessel_j(BesselQuery(float(n), z))
+                try:
+                    got = bessel_j(BesselQuery(float(n), z))
+                except AccuracyError:
+                    assert az < edge and az > specfun.SERIES_MAX
+                    continue
                 assert abs(got - want) <= 2e-15 * max(abs(want), specfun._envelope(z))
 
     def test_zero_term_forms_skip_w(self, monkeypatch):
@@ -594,6 +633,91 @@ class TestHankelBand:
                 got = specfun.bessel_ratio_mp(0.5, z)
                 assert complex(got) == complex(want)
                 assert abs(got - want) <= 1e-37 * abs(want)
+
+
+class TestRouting:
+    """One routing rule (``_hankel_counts``) for J, the double-lane ratio
+    and the exact lane, and no silent miss on either side of it."""
+
+    @pytest.mark.parametrize("n", [20, 60, 100, 200])
+    def test_no_silent_miss(self, n):
+        # an 84-point grid, |z| = n + 15, n + 30, 2n on seven rays, where
+        # Hankel's sum once served terms that grow first: J within 2e-15
+        # max(|J|, envelope) and the ratio within 1e-12 of 60-digit
+        # besselj, or a loud AccuracyError (PoleError)
+        for r in (n + 15, n + 30, 2 * n):
+            for angle in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5):
+                z = cmath.rect(r, angle)
+                with mpmath.workdps(60):
+                    cur = mpmath.besselj(n, mpmath.mpc(z))
+                    ratio = complex(mpmath.besselj(n - 1, mpmath.mpc(z)) / cur)
+                    cur = complex(cur)
+                try:
+                    got = bessel_j(BesselQuery(float(n), z))
+                    assert abs(got - cur) <= 2e-15 * max(abs(cur), specfun._envelope(z))
+                except AccuracyError:
+                    pass
+                try:
+                    assert abs(bessel_j_ratio(float(n), z) - ratio) <= 1e-12 * abs(ratio)
+                except (AccuracyError, PoleError):
+                    pass
+
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0, 3.0])
+    def test_small_orders_from_bound_edge_to_30(self, order):
+        # Hankel's sum now serves these from its remainder bound's edge
+        edge = hankel_edge(order)
+        assert 22.1 < edge < 22.7
+        for r in np.linspace(edge, 30.0, 9):
+            for angle in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5):
+                z = cmath.rect(float(r), angle)
+                assert specfun._hankel_counts((order,), abs(z), 53)[0] >= 0
+                got = bessel_j(BesselQuery(order, z))
+                assert abs(got - mp_j(order, z)) <= 2e-15 * specfun._envelope(z)
+
+    def test_every_path_follows_the_router(self, monkeypatch):
+        # made to refuse everywhere, the router sends J and the double
+        # ratio to the series and makes the exact lane raise
+        asked = []
+
+        def refuse(orders, az, prec):
+            asked.append(tuple(orders))
+            raise AccuracyError("refused", achieved=1.0)
+        monkeypatch.setattr(specfun, "_hankel_counts", refuse)
+        z = complex(100.0, 1.0)
+        assert bessel_j(BesselQuery(0.0, z)) == pytest.approx(mp_j(0.0, z), rel=1e-13)
+        want = mp_j(-1.0, z) / mp_j(0.0, z)
+        assert bessel_j_ratio(0.0, z) == pytest.approx(want, rel=1e-13)
+        with pytest.raises(AccuracyError):
+            specfun.bessel_ratio_exact(0.0, complex(1.0, 1e-6), 1e6)
+        assert asked == [(0.0,), (0.0, -1.0), (0.0, -1.0)]
+
+    def test_non_half_integer_order_refused_at_every_entry(self):
+        # the exact and mpmath lanes once returned another order's ratio
+        z = complex(1e6, 1.0)
+        for call in (lambda: bessel_j(BesselQuery(0.3, z)),
+                     lambda: specfun._jv(0.3, z),
+                     lambda: bessel_j_ratio(0.3, z),
+                     lambda: specfun.bessel_ratio_exact(0.3, z, 1.0),
+                     lambda: specfun.bessel_ratio_mp(0.3, mpmath.mpc(z))):
+            with pytest.raises(InvalidArgumentError):
+                call()
+
+    @pytest.mark.parametrize("lane", ["exact", "mp"])
+    def test_hankel_bound_does_not_overflow(self, lane):
+        # exp(|nu^2 - 1/4| pi / (2 |z|)) once overflowed: an AccuracyError
+        with pytest.raises(AccuracyError):
+            if lane == "exact":
+                specfun.bessel_ratio_exact(60.0, 1 + 0.1j, 1.0)
+            else:
+                with mpmath.workdps(20):
+                    specfun.bessel_ratio_mp(60.0, mpmath.mpc(1, 0.1))
+
+    def test_series_ratio_meets_the_pole_rule(self):
+        # J_1(1e-10) ~ 5e-11: within 1e-12 e^|Im z| of J_1's zero at z = 0,
+        # where J_1/J_1' ~ z
+        with pytest.raises(PoleError) as err:
+            bessel_j_ratio(1.0, 1e-10)
+        assert err.value.distance == pytest.approx(1e-10, rel=1e-6)
 
 
 class TestSeriesBand:
@@ -624,7 +748,8 @@ class TestSeriesBand:
     def test_moderate_even_d_bump_wavenumber(self):
         # |tau a| ~ 11: the ratio J_-1/J_0 is a quotient of two series
         bump = build(2, 3.0, 8.0, 1).entries[0].bump
-        assert abs(bump.tau * bump.a) < specfun.ASYMPT_MIN
+        with pytest.raises(AccuracyError):
+            specfun._hankel_counts((0.0, -1.0), abs(bump.tau * bump.a), 53)
         with mpmath.workdps(50):
             tau, a = mpmath.mpc(bump.tau), mpmath.mpf(bump.a)
             z = tau * a
