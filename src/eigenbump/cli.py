@@ -392,7 +392,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except EigenbumpError as exc:
+    except (EigenbumpError, OSError) as exc:
+        # OSError: an --out or --out-dir path the system refuses
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

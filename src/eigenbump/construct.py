@@ -30,11 +30,11 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from . import bump as bumpmod
 from . import eigensolve, specfun
@@ -366,7 +366,7 @@ def build(d: int, p: float, budget: float, steps: int, domain: str = "whole",
     e^{-Im k * gap} < 1e-10; such entries stay flagged unverified.
     Aborts raise ConstructionError carrying the partial ledger.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not isinstance(d, numbers.Integral) or d < 1:
         raise InvalidArgumentError("dimension must be a positive integer")
     if not p > d:
         raise InvalidArgumentError("construction requires p > d")

@@ -29,14 +29,16 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import specfun
 from .errors import (AccuracyError, BranchError, ContourError,
                      GridResolutionError, InvalidArgumentError,
                      NoConvergenceError, PoleError, SingularShiftError,
                      WrongSheetError)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SECULAR_TOL = 1e-10
 STEP_TOL = 1e-12
@@ -110,12 +112,6 @@ class StepPotential1D:
                     "robin potentials need their support strictly inside x > 0")
             if not (0.0 <= self.phi < math.pi):
                 raise InvalidArgumentError("phi must lie in [0, pi)")
-
-    def value_at(self, x: float) -> complex:
-        idx = int(np.searchsorted(self.breakpoints, x, side="right"))
-        if idx == 0 or idx == len(self.breakpoints):
-            return 0.0 + 0.0j
-        return self.values[idx - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +298,8 @@ def step_matrix(k: complex, value: complex, length: float) -> np.ndarray:
     is involved, and the determinant is exactly 1.  Diagnostic form; the
     solver itself propagates the e^{i kappa L}-scaled variant.
     """
+    import numpy as np
+
     kappa = specfun.upper_sqrt(k * k - complex(value))
     kl = kappa * length
     if kappa == 0:
@@ -389,6 +387,8 @@ def _cell_values(potential: StepPotential1D, xs: np.ndarray, h: float) -> np.nda
     breakpoint falls inside a cell, which would spoil the h^2 Richardson
     extrapolation; averaging the exact integral restores second order.
     """
+    import numpy as np
+
     bps = np.asarray(potential.breakpoints)
     vals = np.asarray(potential.values, dtype=complex)
     edges = np.concatenate(([xs[0] - h / 2.0], xs + h / 2.0))
@@ -425,6 +425,8 @@ def _fd_operator(potential: StepPotential1D, x_lo: float, x_hi: float, n: int):
     (a sweep's coarse n and fine 2n + 1, at most ~16 MB at GRID_POINT_CAP),
     and the three diagonals are read-only.
     """
+    import numpy as np
+
     h = (x_hi - x_lo) / (n + 1)
     ghost = _has_ghost(potential)
     xs = x_lo + h * np.arange(0 if ghost else 1, n + 1)
@@ -445,6 +447,8 @@ def _unit_ramp(length: int) -> np.ndarray:
     """The normalised ramp linspace(1, 2, length), complex: the cold start
     of ``grid_sigma_min``, cached per length like the grid's operator and
     read-only."""
+    import numpy as np
+
     ramp = np.linspace(1.0, 2.0, length).astype(complex)
     ramp /= np.linalg.norm(ramp)
     ramp.flags.writeable = False
@@ -462,6 +466,8 @@ def _fd_grid_vector(potential: StepPotential1D, n: int,
     as zero.  That maps n_c nodes to 2 n_c + 1, or n_c + 1 ghost-layout
     nodes to 2 n_c + 2.  Any other length raises InvalidArgumentError.
     """
+    import numpy as np
+
     ghost = int(_has_ghost(potential))
     vector = np.asarray(vector, dtype=complex)
     if len(vector) == n + ghost:
@@ -482,12 +488,12 @@ def _fd_grid_vector(potential: StepPotential1D, n: int,
 def _fd_lu(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
            z: complex):
     """LAPACK zgttrf factors of the tridiagonal FD form of H - z; raises
-    SingularShiftError (a LinAlgError) when H - z is exactly singular on the
-    grid.  The shared operator is only read: zgttrf copies the two
-    off-diagonals and factors the fresh main - z in place."""
-    # scipy is imported in the grid functions, not at module level: desk
-    # runs never touch the grid, and scipy.linalg adds ~0.3 s to every
-    # command's start
+    SingularShiftError when H - z is exactly singular on the grid.  The
+    shared operator is only read: zgttrf copies the two off-diagonals and
+    factors the fresh main - z in place."""
+    # numpy and scipy are imported in the grid functions, not at module
+    # level: desk runs never touch the grid, and a fresh import of
+    # scipy.linalg, numpy included, takes ~0.4 s on 2 vCPU
     import scipy.linalg.lapack
 
     lower, main, upper, _ = _fd_operator(potential, x_lo, x_hi, n)
@@ -516,6 +522,7 @@ def _fd_nearest(potential: StepPotential1D, x_lo: float, x_hi: float, n: int,
     cannot: when the nearest eigenvalue does not dominate the rest, as for
     the box modes of a cut continuum.
     """
+    import numpy as np
     import scipy.linalg.lapack
 
     target = complex(target)
@@ -635,10 +642,10 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
 
     The growth never decreases; the iteration stops once it changes by at
     most SIGMA_TOL relative, and raises NoConvergenceError after
-    SIGMA_ITER_CAP steps.  Raises SingularShiftError (a LinAlgError) when
-    H - z is exactly singular and InvalidArgumentError for a start of any
-    other length.
+    SIGMA_ITER_CAP steps.  Raises SingularShiftError when H - z is exactly
+    singular and InvalidArgumentError for a start of any other length.
     """
+    import numpy as np
     import scipy.linalg.lapack
 
     if start is not None:

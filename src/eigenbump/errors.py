@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import numpy as np
-
 
 class EigenbumpError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,7 +52,7 @@ class GridResolutionError(EigenbumpError):
     """The finite-difference oracle cannot resolve the requested problem."""
 
 
-class SingularShiftError(GridResolutionError, np.linalg.LinAlgError):
+class SingularShiftError(GridResolutionError):
     """The shifted operator H - z is exactly singular on the grid."""
 
 

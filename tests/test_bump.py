@@ -13,7 +13,8 @@ from eigenbump import construct, eigensolve, specfun
 from eigenbump.bump import (BumpParams, PlacedBump, boundary_wavenumber,
                             design_bump, eigenfunction_eval, norm_inf, norm_p,
                             potential_eval, radius_for_index, solve_eta)
-from eigenbump.errors import BudgetInfeasibleError, InvalidArgumentError, PoleError
+from eigenbump.errors import (AccuracyError, BudgetInfeasibleError,
+                             InvalidArgumentError, PoleError)
 
 from conftest import reference_ratio
 
@@ -60,6 +61,35 @@ class TestEta:
     def test_monotone_in_a(self):
         etas = [solve_eta(1.0, a) for a in (0.5, 1.0, 5.0, 50.0)]
         assert all(e2 < e1 for e1, e2 in zip(etas, etas[1:]))
+
+    def test_overflowing_product_refused_up_front(self, monkeypatch):
+        # 2 a nu = inf: no Lambert iteration is spent on it
+        def never(x):
+            raise AssertionError("W(%r) was evaluated" % x)
+        monkeypatch.setattr(bumpmod, "_lambert_w", never)
+        with pytest.raises(AccuracyError):
+            solve_eta(1e200, 1e200)
+
+
+class TestLambertW:
+    # scipy.special.lambertw's worst relative error on the grid below;
+    # rounding the exact W to a double alone costs up to 1.09e-16 there
+    REL_BOUND = 1.77e-16
+
+    def test_against_mpmath(self):
+        # 2,000 log-spaced arguments over [1e-8, 1e18]
+        xs = [10.0 ** (-8.0 + 26.0 * i / 1999) for i in range(2000)]
+        with mpmath.workdps(50):
+            worst = max(abs(mpmath.mpf(bumpmod._lambert_w(x)) - w) / w
+                        for x, w in ((x, mpmath.lambertw(x)) for x in xs))
+        assert worst <= self.REL_BOUND
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1.7976931348623157e308])
+    def test_range_ends(self, x):
+        with mpmath.workdps(50):
+            want = mpmath.lambertw(x)
+            got = bumpmod._lambert_w(x)
+            assert abs(got - want) <= self.REL_BOUND * want
 
 
 class TestBoundaryWavenumber:

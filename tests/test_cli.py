@@ -56,6 +56,14 @@ class TestBumpCommand:
         assert code == 0
         assert json.loads(out.read_text())["mu"][1] < 0.0
 
+    def test_refused_out_path_is_validation_error(self, tmp_path, capsys):
+        code = run(["bump", "--dim", "1", "--p", "2", "--lambda", "1",
+                    "--eps", "2", "--delta", "2", "--r", "0.3",
+                    "--out", str(tmp_path / "missing" / "bump.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_p_not_above_d_rejected(self, capsys):
         code = run(["bump", "--dim", "3", "--p", "2", "--lambda", "1",
                     "--eps", "0.5", "--delta", "0.5", "--r", "0.1"])
@@ -109,6 +117,13 @@ class TestConstructCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["entries"] == [] and doc["failed_at"] is None
+
+    def test_refused_out_path_is_validation_error(self, tmp_path, capsys):
+        code = run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
+                    "--steps", "1", "--out", str(tmp_path / "missing" / "l.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -334,6 +349,13 @@ class TestReportCommand:
         assert code == 2
         assert err == "error: ledger is partial (failed at step 2)\n"
 
+    def test_out_dir_naming_a_file_is_validation_error(self, ledger_file,
+                                                       capsys):
+        code = run(["report", "--ledger", ledger_file, "--out-dir", ledger_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seventeen_digit_formatting(self, ledger_file, tmp_path, capsys):
         out_dir = tmp_path / "fmt"
         run(["report", "--ledger", ledger_file, "--out-dir", str(out_dir)])
@@ -416,15 +438,38 @@ class TestDeterminismAndRoundTrip:
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported where the grid and eta need it, not at start-up
+def _numpy_or_scipy_after(code, cwd=None):
+    """Top-level numpy and scipy modules loaded by a fresh interpreter that
+    runs ``code`` with this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, eigenbump.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
+    code += ("\nprint(sorted({m.split('.')[0] for m in sys.modules}"
+             " & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, cwd=cwd,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_scipy():
+    # numpy and scipy are imported where the grid needs them, not at start-up
+    assert _numpy_or_scipy_after("import sys, eigenbump.cli") == "[]"
+
+
+def test_desk_commands_load_neither_numpy_nor_scipy(tmp_path):
+    # desk runs never grid: the stability radius falls back without one
+    desk = ["--p", "1.5", "--budget", "1"]
+    calls = [
+        ["construct", "--dim", "2", "--p", "3", "--budget", "1", "--steps", "3",
+         "--out", "d2.json"],
+        ["construct", "--dim", "1", *desk, "--steps", "5", "--out", "whole.json"],
+        ["verify", "--ledger", "whole.json", "--oracle", "transfer"],
+        ["report", "--ledger", "whole.json", "--out-dir", "report"],
+        ["construct", "--dim", "1", *desk, "--steps", "3", "--domain", "robin",
+         "--phi", "0", "--out", "robin.json"],
+    ]
+    code = "import sys; from eigenbump import cli\n" + "".join(
+        "assert cli.main(%r) == 0\n" % argv for argv in calls)
+    assert _numpy_or_scipy_after(code, cwd=tmp_path) == "[]"
 
 
 def test_grid_runs_do_not_load_arpack(tmp_path):

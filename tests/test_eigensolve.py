@@ -21,7 +21,7 @@ from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
                                   transfer_eigen_1d)
 from eigenbump.errors import (ContourError, GridResolutionError,
                               InvalidArgumentError, NoConvergenceError,
-                              WrongSheetError)
+                              SingularShiftError, WrongSheetError)
 
 
 def problem_for(params):
@@ -447,7 +447,7 @@ class TestGridSigmaMin:
         # h = 1 and a zero potential: H - 2 = tridiag(-1, 0, -1) on three
         # nodes is exactly singular
         pot = StepPotential1D((0.5, 1.0), (0.0,))
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(SingularShiftError):
             grid_sigma_min(pot, 2.0, 0.0, 4.0, 3)
 
 
