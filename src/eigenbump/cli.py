@@ -208,6 +208,8 @@ def cmd_construct(args) -> int:
     phi = args.phi if args.domain == "robin" else 0.0
     targets = _parse_targets(args.targets) if args.targets else None
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    fresh = not os.path.lexists(args.out)
+    open(args.out, "a", encoding="utf-8").close()  # a refused path fails before step 1
     try:
         ledger = construct.build(args.dim, args.p, args.budget, args.steps,
                                  domain=args.domain, phi=phi, targets=targets,
@@ -218,6 +220,10 @@ def cmd_construct(args) -> int:
         print("construction stopped at step %s: %s" % (exc.failed_at, exc),
               file=sys.stderr)
         code = EXIT_PARTIAL
+    except BaseException:
+        if fresh:
+            os.remove(args.out)
+        raise
     doc = ledger_to_doc(ledger, args.steps, created)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(dump_ledger(doc))

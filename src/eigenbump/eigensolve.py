@@ -18,9 +18,9 @@ value so Newton paths never hop branches.  Transfer propagation rescales
 each interval by the analytic factor e^{i kappa L}; this tames the
 exponential growth of the decaying solution without breaking the complex
 differentiability Newton relies on.  Every solve picks its arithmetic
-from its accumulated phase through ``specfun.lane``: beyond ~3e4 radians
-double argument reduction would drown the 1e-10 residual tolerance, so
-such solves run at scaled arbitrary precision.
+from its accumulated phase through ``specfun.lane``: beyond ~3e4 radians,
+where double argument reduction would drown the 1e-10 tolerance, solves run
+at the lane's digits, the transfer kernel on scaled ints (Newton's k an mpc).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from mpmath import libmp, mp
 
 from . import specfun
 from .errors import (AccuracyError, BranchError, ContourError,
@@ -319,25 +321,73 @@ def _intervals(potential: StepPotential1D):
     return out
 
 
-def _transfer_eval(potential: StepPotential1D, k, refs, ops):
+def _transfer_eval(potential: StepPotential1D, k, refs):
     """Scaled secular value s(k); s = 0 forces decay on both ends (whole
     line) or the Robin condition at 0 plus decay at +infinity."""
     if potential.boundary == "whole":
-        f = ops.lift(1.0)
+        f = complex(1.0)
         fp = -1j * k
     else:
-        f = ops.lift(math.cos(potential.phi))
-        fp = ops.lift(-math.sin(potential.phi))
+        f = complex(math.cos(potential.phi))
+        fp = complex(-math.sin(potential.phi))
     new_refs = []
     for (length, value), ref in zip(_intervals(potential), refs):
-        kappa = _branch_sqrt(k * k - ops.lift(value), ref, ops.sqrt)
+        kappa = _branch_sqrt(k * k - value, ref, cmath.sqrt)
         new_refs.append(kappa)
-        e2 = ops.exp(2j * kappa * length)
+        e2 = cmath.exp(2j * kappa * length)
         m11 = (1.0 + e2) / 2.0
         m12 = (e2 - 1.0) / (2j * kappa)
         m21 = (1j * kappa / 2.0) * (e2 - 1.0)
         f, fp = m11 * f + m12 * fp, m21 * f + m11 * fp
     return f - fp / (1j * k), new_refs
+
+
+def _fixed_sqrt(x: int, y: int, s: int, bits: int):
+    """The principal sqrt of w = (x + iy)/2^s (Im >= 0 at y = 0) to a few 2^-bits,
+    as a pair scaled by 2^bits: the larger part isqrt((|w| + |Re w|)/2)."""
+    shift = 2 * bits - s
+    x, y = (x << shift, y << shift) if shift >= 0 else (x >> -shift, y >> -shift)
+    big = math.isqrt((math.isqrt(x * x + y * y) + abs(x)) >> 1)
+    small = abs(y) // (2 * big) if big else 0
+    return (big, small if y >= 0 else -small) if x >= 0 else (small, big if y >= 0 else -big)
+
+
+def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int):
+    """The mp lane's ``_transfer_eval`` on ints scaled by 2^bits, a complex as an
+    (re, im) pair, k exact: kappa^2 exact, e^{2i kappa L} by libmp (OverflowError
+    past the double range, as cmath.exp), and F returned as an mpc."""
+    one, mul = 1 << bits, functools.partial(specfun._fixed_mul, bits=bits)
+    kx, ky, ks = specfun._exact_mp(k)
+    f, fp = (one, 0), ((ky << bits) >> ks, (-kx << bits) >> ks)
+    if potential.boundary == "robin":
+        f, fp = ((specfun._fixed(math.cos(potential.phi), bits), 0),
+                 (specfun._fixed(-math.sin(potential.phi), bits), 0))
+    new_refs = []
+    for (length, value), ref in zip(_intervals(potential), refs):
+        vx, vy, vs = specfun._exact(value)
+        s = max(2 * ks, vs)
+        kr, ki = _fixed_sqrt(((kx * kx - ky * ky) << s - 2 * ks) - (vx << s - vs),
+                             ((2 * kx * ky) << s - 2 * ks) - (vy << s - vs), s, bits)
+        if kr * ref[0] + ki * ref[1] < 0:  # |kappa - ref| > |-kappa - ref|
+            kr, ki = -kr, -ki
+        new_refs.append((kr, ki))
+        lx, _, ls = specfun._exact(complex(2.0 * length))  # 2 kappa L = kappa lx / 2^ls
+        rate, e2 = -ki * lx / (1 << bits + ls), (0, 0)
+        if rate > -bits:  # else |e2| = e^rate < 2^-bits floors to 0
+            math.exp(rate)  # raises OverflowError past the double range
+            arg = tuple(libmp.from_man_exp(v * lx, -bits - ls) for v in (-ki, kr))
+            e2 = tuple(libmp.to_fixed(v, bits) for v in libmp.mpc_exp(arg, bits, "n"))
+        d, norm = (e2[0] - one, e2[1]), 2 * (kr * kr + ki * ki)
+        m11 = ((e2[0] + one) >> 1, e2[1] >> 1)
+        m12 = (((kr * d[1] - ki * d[0]) << bits) // norm,
+               ((-kr * d[0] - ki * d[1]) << bits) // norm)
+        m21 = specfun._fixed_mul((-ki, kr), d, bits + 1)
+        f, fp = [tuple(x + y for x, y in zip(mul(u, f), mul(v, fp)))
+                 for u, v in ((m11, m12), (m21, m11))]
+    norm = kx * kx + ky * ky  # F = f - fp/(ik), 1/(ik) = (-ky - i kx) 2^ks / |k|^2
+    fp_ik = mul(fp, ((-ky << bits + ks) // norm, (-kx << bits + ks) // norm))
+    return mp.make_mpc(tuple(libmp.from_man_exp(a - b, -bits, bits - specfun.FIXED_GUARD, "n")
+                             for a, b in zip(f, fp_ik))), new_refs
 
 
 def _phase_scale(potential: StepPotential1D, k_seed: complex) -> float:
@@ -365,10 +415,13 @@ def _transfer_newton(potential: StepPotential1D, k_seed: complex):
     if not k_seed.imag > 0.0:
         raise InvalidArgumentError("transfer seed needs Im k > 0")
     scale = _phase_scale(potential, k_seed)
+    refs = [specfun.upper_sqrt(k_seed * k_seed - v) for (_, v) in _intervals(potential)]
     with specfun.lane(scale) as ops:
-        refs = [ops.lift(specfun.upper_sqrt(k_seed * k_seed - v))
-                for (_, v) in _intervals(potential)]
-        return _newton(lambda k, refs: _transfer_eval(potential, k, refs, ops),
+        if not ops.mp:
+            return _newton(functools.partial(_transfer_eval, potential), k_seed, refs, scale)
+        bits = mp.prec + specfun.FIXED_GUARD
+        refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits)) for r in refs]
+        return _newton(functools.partial(_transfer_eval_mp, potential, bits=bits),
                        ops.lift(k_seed), refs, scale)
 
 

@@ -22,7 +22,7 @@ exact binary number, in ``bessel_ratio_mp``.  cos z and sin z then come
 from mpmath's integer layer (``libmp``); no mpmath number or working
 precision enters the kernel.  The transfer and secular solves pick their
 arithmetic through the package's one precision lane (``lane``), which
-delegates to mpmath at that same precision.
+sets mpmath to that same precision.
 
 Every ratio J_{n-1}(z)/J_n(z) is the quotient of two forms sqrt(pi z/2) J
 on ints (``_ratio_fraction``), from Hankel's integer kernel
@@ -78,7 +78,6 @@ class _Native:
 
     mp = False
     sqrt = staticmethod(cmath.sqrt)
-    exp = staticmethod(cmath.exp)
     lift = staticmethod(complex)
 
     @staticmethod
@@ -91,7 +90,6 @@ class _MP:
 
     mp = True
     sqrt = staticmethod(mpmath.sqrt)
-    exp = staticmethod(mpmath.exp)
     lift = staticmethod(mpmath.mpc)
 
     @staticmethod
@@ -114,7 +112,7 @@ def lane(scale: float):
     Up to NATIVE_MAX this yields the double-precision ops.  Beyond it
     yields the mpmath ops, holding MP_LOCK with the working precision at
     ``phase_digits(scale)``; a double argument alone is exact and needs no
-    lane.  Both carry ``sqrt``, ``exp``, ``lift`` (into the lane),
+    lane.  Both carry ``sqrt``, ``lift`` (into the lane),
     ``bessel_ratio`` and the flag ``mp``; ``complex`` takes a lane number
     back to double.
     """
@@ -362,6 +360,12 @@ def _exact(z: complex):
     return _fixed(z.real, s), _fixed(z.imag, s), s
 
 
+def _exact_mp(z):
+    """A finite mpc as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
+    s = max(0, *(-exp for _, _, exp, _ in z._mpc_))
+    return (*((-1) ** sign * int(man) << exp + s for sign, man, exp, _ in z._mpc_), s)
+
+
 def _double_range(z: complex) -> None:
     """The double lane's range check on either route: AccuracyError beyond
     |Im z| = 700, where cos z and J of small orders leave the double range."""
@@ -495,11 +499,8 @@ def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
     """
     z = mpmath.mpc(z)
     _check(order, complex(z))
-    parts = [(-int(man) if sign else int(man), exp) for sign, man, exp, _ in z._mpc_]
-    s = max(0, *(-exp for _, exp in parts))
     prec = mpmath.mp.prec
-    re, im, den = _ratio_fraction(order, *(man << exp + s for man, exp in parts), s, prec,
-                                  _exact_forms)
+    re, im, den = _ratio_fraction(order, *_exact_mp(z), prec, _exact_forms)
     return mpmath.mp.make_mpc(tuple(libmp.from_rational(v, den, prec, "n") for v in (re, im)))
 
 

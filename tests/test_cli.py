@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eigenbump import cli
+from eigenbump import cli, construct
 
 
 def run(argv):
@@ -118,12 +118,26 @@ class TestConstructCommand:
         doc = json.loads(out.read_text())
         assert doc["entries"] == [] and doc["failed_at"] is None
 
-    def test_refused_out_path_is_validation_error(self, tmp_path, capsys):
+    def test_refused_out_path_is_validation_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # the path is checked before step 1: no build runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("construct.build ran before --out was checked")
+        monkeypatch.setattr(construct, "build", refuse)
         code = run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
                     "--steps", "1", "--out", str(tmp_path / "missing" / "l.json")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_build_leaves_existing_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "kept.json"
+        out.write_text("earlier ledger\n")
+        code = run(["construct", "--dim", "1", "--budget", "8", "--p", "1",
+                    "--steps", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
+        assert out.read_text() == "earlier ledger\n"
 
     def test_negative_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "never.json"

@@ -4,6 +4,7 @@ import cmath
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +13,7 @@ import scipy.sparse.linalg
 from scipy.optimize import brentq
 
 from eigenbump import bump as bumpmod
-from eigenbump import construct, eigensolve
+from eigenbump import construct, eigensolve, specfun
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
                                   _fd_grid_vector, _fd_operator, count_zeros,
                                   grid_layout,
@@ -189,6 +190,132 @@ class TestTransfer:
         far = transfer_eigen_1d(single_bump_potential(moderate_bump, 2.0e5),
                                 moderate_bump.k)
         assert far.mu == pytest.approx(native.mu, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def desk_potentials():
+    """(potential, entry seeds) of the 5-step desk whole-line run and of a
+    3-step Robin run at phi = 0.5: every transfer solve in the mp lane."""
+    out = []
+    for kwargs in ({"steps": 5}, {"steps": 3, "domain": "robin", "phi": 0.5}):
+        ledger = construct.build(1, 1.5, 1.0, **kwargs)
+        pot = construct.step_potential(ledger.entries, ledger.domain, ledger.phi)
+        out.append((pot, [specfun.upper_sqrt(e.lambda_n) for e in ledger.entries]))
+    return out
+
+
+def reference_transfer(potential, k):
+    """The transfer recursion in 100-digit mpmath arithmetic, kappa on the
+    upper sheet at k itself."""
+    with mpmath.workdps(100):
+        k = mpmath.mpc(k)
+        if potential.boundary == "whole":
+            f, fp = mpmath.mpc(1), -1j * k
+        else:
+            f = mpmath.mpc(math.cos(potential.phi))
+            fp = mpmath.mpc(-math.sin(potential.phi))
+        for length, value in eigensolve._intervals(potential):
+            kappa = mpmath.sqrt(k * k - mpmath.mpc(value))
+            if kappa.imag < 0 or (kappa.imag == 0 and kappa.real < 0):
+                kappa = -kappa
+            e2 = mpmath.exp(2j * kappa * mpmath.mpf(length))
+            m11, m12 = (1 + e2) / 2, (e2 - 1) / (2j * kappa)
+            m21 = (1j * kappa / 2) * (e2 - 1)
+            f, fp = m11 * f + m12 * fp, m21 * f + m11 * fp
+        return f - fp / (1j * k)
+
+
+def mp_lane_eval(potential, k):
+    """The mp lane's recursion at k with the solver's own refs and bits."""
+    with specfun.lane(eigensolve._phase_scale(potential, k)) as ops:
+        assert ops.mp
+        bits = mpmath.mp.prec + specfun.FIXED_GUARD
+        refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits))
+                for r in (specfun.upper_sqrt(k * k - v)
+                          for _, v in eigensolve._intervals(potential))]
+        return eigensolve._transfer_eval_mp(potential, mpmath.mpc(k), refs, bits)
+
+
+class TestFixedTransfer:
+    BITS = 200
+
+    def fixed_sqrt(self, w):
+        """_fixed_sqrt of the exact mpc w as an mpc, and mpmath.sqrt at 200 bits."""
+        x, y, s = specfun._exact_mp(w)
+        re, im = eigensolve._fixed_sqrt(x, y, s, self.BITS)
+        with mpmath.workprec(self.BITS):
+            want = mpmath.sqrt(w)
+        got = mpmath.mpc(mpmath.ldexp(re, -self.BITS), mpmath.ldexp(im, -self.BITS))
+        return got, want
+
+    @pytest.mark.parametrize("w", [(1.7, 0.3), (-1.7, 0.3), (-1.7, -0.3), (1.7, -0.3),
+                                   (-2.0, 2.0 ** -100), (-2.0, -(2.0 ** -100)),
+                                   (-4.0, 0.0), (0.0, -3.0), (0.0, 0.0),
+                                   (3.0 * 2.0 ** 300, -5.0 * 2.0 ** 299),
+                                   (-3.0 * 2.0 ** -300, 5.0 * 2.0 ** -301)])
+    def test_fixed_sqrt_matches_mpmath(self, w):
+        with mpmath.workprec(self.BITS):
+            got, want = self.fixed_sqrt(mpmath.mpc(*w))
+            # a few 2^-bits of the fixed point, or mpmath's own rounding
+            assert abs(got - want) <= 2.0 ** (4 - self.BITS) * max(1.0, abs(want))
+            assert got.real >= 0.0 and (got.imag >= 0.0) == (w[1] >= 0.0)
+
+    def test_fixed_sqrt_takes_sides_of_the_cut(self):
+        above, _ = self.fixed_sqrt(mpmath.mpc(-2.0, 2.0 ** -100))
+        below, _ = self.fixed_sqrt(mpmath.mpc(-2.0, -(2.0 ** -100)))
+        assert above.imag > 1.4 and below.imag < -1.4
+
+    def test_reference_on_other_sheet_flips_kappa(self):
+        pot = StepPotential1D((0.0, 1e5), (0.5,))
+        k = mpmath.mpc(1.0, 1e-9)
+        upper = specfun.upper_sqrt(complex(k) ** 2 - 0.5)
+        bits = self.BITS
+        ref = (specfun._fixed(upper.real, bits), specfun._fixed(upper.imag, bits))
+        _, (kappa,) = eigensolve._transfer_eval_mp(pot, k, [ref], bits)
+        _, (flipped,) = eigensolve._transfer_eval_mp(pot, k, [(-ref[0], -ref[1])], bits)
+        assert kappa[1] > 0 and flipped == (-kappa[0], -kappa[1])
+
+    def test_matches_100_digit_recursion(self, desk_potentials):
+        for pot, seeds in desk_potentials:
+            for k in seeds:
+                got, _ = mp_lane_eval(pot, k)
+                want = reference_transfer(pot, k)
+                with mpmath.workdps(100):
+                    assert abs(got - want) <= 1e-25 * abs(want)
+                assert float(abs(got)) == float(abs(want))
+
+    def test_zero_kappa_and_zero_k_divide_by_zero(self):
+        pot = StepPotential1D((0.0, 1.0), (4.0,))
+        with pytest.raises(ZeroDivisionError):  # kappa^2 = k^2 - 4 = 0
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(2), [(1, 0)], self.BITS)
+        with pytest.raises(ZeroDivisionError):  # F divides by k
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0), [(0, 1)], self.BITS)
+
+    def test_growth_beyond_double_range_overflows(self):
+        # a reference on the growing sheet: e^{2 i kappa L} leaves the
+        # double range, as cmath.exp would in the native lane
+        pot = StepPotential1D((0.0, 1e6), (1.0,))
+        with pytest.raises(OverflowError):
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0, 1), [(0, -1)], self.BITS)
+
+    def test_solves_build_no_mpmath_functions(self, desk_potentials, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath function in the transfer recursion")
+        for name in ("sqrt", "exp", "cos_sin", "expj"):
+            monkeypatch.setattr(mpmath, name, refuse)
+        pot, seeds = desk_potentials[0]
+        k, _ = eigensolve._transfer_newton(pot, seeds[-1] * (1.0 + 1e-9))
+        assert isinstance(k, mpmath.mpc)
+
+    def test_lane_label_follows_phase(self, desk_potentials, moderate_bump):
+        # bench/run.py labels transfer_newton.{native,mp} by k's type
+        pot, seeds = desk_potentials[0]
+        for k_seed in seeds:
+            k, residual = eigensolve._transfer_newton(pot, k_seed)
+            assert isinstance(k, mpmath.mpc) and residual <= 1e-10
+        k, _ = eigensolve._transfer_newton(single_bump_potential(moderate_bump),
+                                           moderate_bump.k)
+        assert type(k) is complex
 
 
 class TestStepMatrix:
