@@ -28,7 +28,10 @@ need not be the smallest feasible index.  At large indices (radii beyond
 doubles tau and a, k is one exact fraction rounded once, and the residual
 polish runs at scaled arbitrary precision; the double-rounded fields are
 what the constraints are checked against, and the stored doubles are the
-artifact.
+artifact.  For d = 1 and d = 3 the ratio is elementary, and |c| >=
+|tau|^2 / cosh^2(eta a) at every phase (``_c_floor``); a probe that this
+bound already puts over the L^p or L^inf budget skips its Bessel
+evaluation, and every other probe is evaluated as before.
 """
 
 from __future__ import annotations
@@ -183,12 +186,14 @@ def norm_p(params: BumpParams, p: float) -> float:
     X = |d-3||d-1|; the tail term vanishes for d in {1, 3} and forces the
     hypothesis p > d (2p - d > d) to converge.
     """
-    d = params.d
-    if not p > d:
+    if not p > params.d:
         raise InvalidArgumentError("norm_p requires p > d (tail diverges otherwise)")
+    return _norm_p(params.d, p, params.a, abs(params.c))
+
+
+def _norm_p(d: int, p: float, a: float, c_abs: float) -> float:
+    """``norm_p`` of a bump with radius a and |c| = c_abs, p > d."""
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    a = params.a
-    c_abs = abs(params.c)
     ball = math.exp(p * math.log(c_abs) + d * math.log(a)) / d if c_abs > 0.0 else 0.0
     x_coef = abs(d - 3.0) * abs(d - 1.0)
     if x_coef == 0.0:
@@ -257,13 +262,60 @@ def _check_dim(d) -> None:
 # bump design: the frontier index meeting all budgets
 
 
-def _candidate(d: int, nu: float, lam: float, m: int) -> BumpParams:
-    """Raw bump scalars at index m, rounded to the stored double artifact."""
+def _candidate(d: int, nu: float, lam: float, m: int,
+               budgets=None) -> BumpParams | None:
+    """Raw bump scalars at index m, rounded to the stored double artifact;
+    None, before the Bessel ratio is evaluated, when ``budgets`` = (p,
+    eps, delta) are given and ``_over_budget`` proves the index over them."""
     a = radius_for_index(d, nu, m)
     eta = solve_eta(nu, a)
+    if budgets is not None and _over_budget(d, *budgets, nu, a, eta):
+        return None
     tau = complex(nu, eta)
     k = boundary_wavenumber(d, tau, a)
     return BumpParams(d=d, lam=lam, nu=nu, m=m, a=a, eta=eta, tau=tau, k=k)
+
+
+def _c_floor(nu: float, a: float, eta: float) -> float:
+    """A lower bound on the |c| of the stored k of a d = 1 or d = 3 bump
+    of radius a and decay rate eta, found without evaluating k.
+
+    With z = tau a = x + iy, y = eta a, the half-integer ratio is
+    elementary (DLMF 10.16.1): for d = 1, k = i tau tan z (the term
+    i(d-3)/(2a) cancels tau/z), and for d = 3, k = -i tau cot z.  So
+    c = -tau^2/cos^2 z or -tau^2/sin^2 z, and as |cos z|^2 = cos^2 x +
+    sinh^2 y and |sin z|^2 = sin^2 x + sinh^2 y are at most cosh^2 y,
+    |c| >= B = |tau|^2/cosh^2 y at every phase x, the one lost when the
+    double lane rounds tau a included.
+
+    The stored c is k k - tau tau in doubles.  Beyond ``NATIVE_MAX`` k is
+    the exact value rounded once, which puts that c within 2^-53 (7 |c| +
+    8 |tau|^2) of the exact one.  Up to it y = W(2 a nu)/2 < 4.4, and
+    ``bessel_j_ratio``'s few-ulp error and the double arithmetic of k move
+    c by some tens of 2^-53 (|c| + |tau|^2) cosh^2 y, which costs the
+    bound less than 1e-10 B.  So |c| >= (1 - 1e-6) B - 2^-49 |tau|^2 in
+    both lanes, with room left for the rounding of B (y < 360) and of
+    ``norm_p``.
+    """
+    tau2 = nu * nu + eta * eta
+    return (1.0 - 1e-6) * tau2 / math.cosh(eta * a) ** 2 - 2.0 ** -49 * tau2
+
+
+def _over_budget(d: int, p: float, eps: float, delta: float, nu: float,
+                 a: float, eta: float) -> bool:
+    """Whether a d = 1 or d = 3 bump of radius a and decay rate eta
+    provably fails ``norm_inf_budget`` or ``norm_p_budget``: for these d,
+    ``norm_inf`` is |c| and ``norm_p`` = (surf |c|^p a^d/d)^{1/p}, both
+    growing with |c|, so ``_c_floor`` reaching a budget proves it.  Where
+    ``norm_p`` overflows at the floor, the probe is left to show it.
+    """
+    low = _c_floor(nu, a, eta)
+    if low >= delta:
+        return True
+    try:
+        return _norm_p(d, p, a, low) >= eps
+    except OverflowError:
+        return False
 
 
 def _first_failure(params: BumpParams, p: float, eps: float, delta: float,
@@ -299,6 +351,13 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
     the index up by a few steps.  Raises BudgetInfeasibleError naming the
     constraint the last probe fails when no probe up to m_cap works, or
     up to the last index whose radius and eta are finite (``_in_range``).
+
+    For d = 1 and d = 3 a probe first bounds |c| from below in closed form
+    (``_over_budget``) and skips the Bessel ratio of an index the bound
+    already puts over the L^p or L^inf budget; the bound never accepts an
+    index, so feasible probes, those near the frontier and the last one,
+    whose failure the error names, are all evaluated in full.  Other
+    dimensions evaluate every probe.
     """
     _check_dim(d)
     if not p > d:
@@ -311,27 +370,34 @@ def design_bump(d: int, p: float, lam: float, eps: float, delta: float,
         raise InvalidArgumentError("m_cap must be >= 0, got %r" % (m_cap,))
 
     nu = math.sqrt(lam)
+    screen = (p, eps, delta) if d in (1, 3) else None
 
-    def probe(m: int):
-        params = _candidate(d, nu, lam, m)
+    def probe(m: int, budgets):
+        """(first failure, params) at index m, or ("screened", None)."""
+        params = _candidate(d, nu, lam, m, budgets)
+        if params is None:
+            return "screened", None
         return _first_failure(params, p, eps, delta, r), params
 
     lo, m = -1, 0  # lo: the last infeasible index probed
     while True:
-        fail, found = probe(m)
+        step = min(max(2 * m, 1), m_cap)
+        last = m >= m_cap or not _in_range(d, nu, step)
+        fail, found = probe(m, None if last else screen)
         if fail is None:
             break
-        lo, m = m, min(max(2 * m, 1), m_cap)
-        if lo >= m_cap or not _in_range(d, nu, m):
+        if last:
             raise BudgetInfeasibleError(
                 "no bump index up to %d meets all budgets (last failure: %s)"
-                % (lo, fail), failed_constraint=fail)
+                % (m, fail), failed_constraint=fail)
+        lo, m = m, step
     while found.m - lo > 1:
-        fail, params = probe((lo + found.m) // 2)
+        mid = (lo + found.m) // 2
+        fail, params = probe(mid, screen)
         if fail is None:
             found = params
         else:
-            lo = params.m
+            lo = mid
 
     return _finalize(found, p, eps, delta, r, m_cap)
 

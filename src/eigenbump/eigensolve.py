@@ -352,10 +352,21 @@ def _fixed_sqrt(x: int, y: int, s: int, bits: int):
     return (big, small if y >= 0 else -small) if x >= 0 else (small, big if y >= 0 else -big)
 
 
-def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int):
+def _exact_intervals(potential: StepPotential1D):
+    """``_intervals`` on exact ints, once per solve: each value as (vx, vy, vs),
+    value = (vx + i vy)/2^vs, and twice each length as (lx, ls), 2L = lx/2^ls."""
+    out = []
+    for length, value in _intervals(potential):
+        lx, _, ls = specfun._exact(complex(2.0 * length))
+        out.append((specfun._exact(value), lx, ls))
+    return out
+
+
+def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int, intervals):
     """The mp lane's ``_transfer_eval`` on ints scaled by 2^bits, a complex as an
     (re, im) pair, k exact: kappa^2 exact, e^{2i kappa L} by libmp (OverflowError
-    past the double range, as cmath.exp), and F returned as an mpc."""
+    past the double range, as cmath.exp), and F returned as an mpc.
+    ``intervals`` is ``_exact_intervals(potential)``."""
     one, mul = 1 << bits, functools.partial(specfun._fixed_mul, bits=bits)
     kx, ky, ks = specfun._exact_mp(k)
     f, fp = (one, 0), ((ky << bits) >> ks, (-kx << bits) >> ks)
@@ -363,16 +374,14 @@ def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int):
         f, fp = ((specfun._fixed(math.cos(potential.phi), bits), 0),
                  (specfun._fixed(-math.sin(potential.phi), bits), 0))
     new_refs = []
-    for (length, value), ref in zip(_intervals(potential), refs):
-        vx, vy, vs = specfun._exact(value)
+    for ((vx, vy, vs), lx, ls), ref in zip(intervals, refs):
         s = max(2 * ks, vs)
         kr, ki = _fixed_sqrt(((kx * kx - ky * ky) << s - 2 * ks) - (vx << s - vs),
                              ((2 * kx * ky) << s - 2 * ks) - (vy << s - vs), s, bits)
         if kr * ref[0] + ki * ref[1] < 0:  # |kappa - ref| > |-kappa - ref|
             kr, ki = -kr, -ki
         new_refs.append((kr, ki))
-        lx, _, ls = specfun._exact(complex(2.0 * length))  # 2 kappa L = kappa lx / 2^ls
-        rate, e2 = -ki * lx / (1 << bits + ls), (0, 0)
+        rate, e2 = -ki * lx / (1 << bits + ls), (0, 0)  # 2 kappa L = kappa lx / 2^ls
         if rate > -bits:  # else |e2| = e^rate < 2^-bits floors to 0
             math.exp(rate)  # raises OverflowError past the double range
             arg = tuple(libmp.from_man_exp(v * lx, -bits - ls) for v in (-ki, kr))
@@ -421,7 +430,8 @@ def _transfer_newton(potential: StepPotential1D, k_seed: complex):
             return _newton(functools.partial(_transfer_eval, potential), k_seed, refs, scale)
         bits = mp.prec + specfun.FIXED_GUARD
         refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits)) for r in refs]
-        return _newton(functools.partial(_transfer_eval_mp, potential, bits=bits),
+        return _newton(functools.partial(_transfer_eval_mp, potential, bits=bits,
+                                         intervals=_exact_intervals(potential)),
                        ops.lift(k_seed), refs, scale)
 
 

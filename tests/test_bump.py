@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eigenbump import bump as bumpmod
@@ -14,7 +16,7 @@ from eigenbump.bump import (BumpParams, PlacedBump, boundary_wavenumber,
                             design_bump, eigenfunction_eval, norm_inf, norm_p,
                             potential_eval, radius_for_index, solve_eta)
 from eigenbump.errors import (AccuracyError, BudgetInfeasibleError,
-                             InvalidArgumentError, PoleError)
+                             ConstructionError, InvalidArgumentError, PoleError)
 
 from conftest import reference_ratio
 
@@ -225,13 +227,14 @@ FRONTIER_CASES = {
 
 @pytest.fixture
 def probed(monkeypatch):
-    """Indices passed to bump._candidate while the test runs."""
+    """Indices passed to bump._candidate while the test runs, screened or
+    not."""
     seen = []
     real = bumpmod._candidate
 
-    def counting(d, nu, lam, m):
+    def counting(d, nu, lam, m, budgets=None):
         seen.append(m)
-        return real(d, nu, lam, m)
+        return real(d, nu, lam, m, budgets)
     monkeypatch.setattr(bumpmod, "_candidate", counting)
     return seen
 
@@ -313,6 +316,154 @@ class TestDesign:
             np_p = norm_p(cand, 2.0) ** 2.0
             vals.append(np_p / (cand.eta * math.log(1.0 / cand.eta)))
         assert max(vals) < 40.0 and min(vals) > 0.1
+
+
+def reference_design(d, p, lam, eps, delta, r, m_cap=10 ** 18):
+    """design_bump with every probe evaluated in full, as it ran before the
+    screen: the BumpParams, or the error's (failed_constraint, message)."""
+    nu = math.sqrt(lam)
+
+    def probe(m):
+        params = bumpmod._candidate(d, nu, lam, m)
+        return bumpmod._first_failure(params, p, eps, delta, r), params
+
+    try:
+        lo, m = -1, 0
+        while True:
+            fail, found = probe(m)
+            if fail is None:
+                break
+            lo, m = m, min(max(2 * m, 1), m_cap)
+            if lo >= m_cap or not bumpmod._in_range(d, nu, m):
+                raise BudgetInfeasibleError(
+                    "no bump index up to %d meets all budgets (last failure: %s)"
+                    % (lo, fail), failed_constraint=fail)
+        while found.m - lo > 1:
+            fail, params = probe((lo + found.m) // 2)
+            if fail is None:
+                found = params
+            else:
+                lo = params.m
+        return bumpmod._finalize(found, p, eps, delta, r, m_cap)
+    except BudgetInfeasibleError as err:
+        return err.failed_constraint, str(err)
+
+
+def design_outcome(*args, **kwargs):
+    """design_bump's BumpParams, or its error's (failed_constraint, message)."""
+    try:
+        return design_bump(*args, **kwargs)
+    except BudgetInfeasibleError as err:
+        return err.failed_constraint, str(err)
+
+
+def recorded_designs(*args, **kwargs):
+    """The design_bump arguments of one construct.build run, to its end or
+    to the step it stops at."""
+    calls = []
+    real = bumpmod.design_bump
+
+    def spy(*a, **kw):
+        calls.append((a, kw))
+        return real(*a, **kw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bumpmod, "design_bump", spy)
+        try:
+            construct.build(*args, **kwargs)
+        except ConstructionError:
+            pass
+    return calls
+
+
+# construct.build arguments: the seed-0 desk runs in d = 1 and d = 3, and
+# the frontier runs that stop on a failure the error message names
+DESK_BUILDS = {
+    "desk-whole": ((1, 1.5, 1.0, 5), {}),
+    "desk-d3": ((3, 4.0, 1.0, 3), {}),
+    "p1.05": ((1, 1.05, 1.0, 2), {}),
+    "p1.05-cap60": ((1, 1.05, 1.0, 2), {"m_cap": 10 ** 60}),
+    "p1.2": ((1, 1.2, 1.0, 5), {}),
+    "budget0.01": ((1, 1.5, 0.01, 5), {}),
+}
+
+
+class TestScreen:
+    @pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+    @pytest.mark.parametrize("m_cap", [0, 1, 2, 5, 1000, 40000, 10 ** 18])
+    def test_frontier_cases_match_unscreened_design(self, case, m_cap):
+        args = FRONTIER_CASES[case]
+        assert design_outcome(*args, m_cap=m_cap) == reference_design(*args, m_cap=m_cap)
+
+    @pytest.mark.parametrize("build", sorted(DESK_BUILDS))
+    def test_desk_designs_match_unscreened_design(self, build):
+        calls = recorded_designs(*DESK_BUILDS[build][0], **DESK_BUILDS[build][1])
+        assert calls
+        for args, kwargs in calls:
+            assert design_outcome(*args, **kwargs) == reference_design(*args, **kwargs)
+
+    @pytest.mark.parametrize("m_cap", [0, 1, 3, 100, 10 ** 4, 10 ** 8])
+    def test_small_caps_on_desk_budgets(self, m_cap):
+        for build in ("desk-whole", "desk-d3"):
+            for args, kwargs in recorded_designs(*DESK_BUILDS[build][0]):
+                assert (design_outcome(*args, m_cap=m_cap)
+                        == reference_design(*args, m_cap=m_cap))
+
+    def test_norm_p_overflow_is_left_to_the_probe(self):
+        # |c|^p a^d overflows norm_p at the floor of the first probes, which
+        # fail the capture budget when evaluated
+        args = (1, 200.0, 100.0, 1.0, 1000.0, 0.5)
+        assert design_outcome(*args) == reference_design(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from([1, 3]), nu=st.floats(0.1, 10.0),
+           m=st.one_of(st.integers(0, 9000), st.integers(10 ** 4, 10 ** 17)))
+    @example(d=1, nu=0.1, m=0)
+    @example(d=3, nu=10.0, m=9000)
+    @example(d=1, nu=1.0, m=10 ** 4)
+    @example(d=3, nu=0.1, m=10 ** 17)
+    def test_floor_lies_below_stored_c(self, d, nu, m):
+        # m <= 9000 keeps |tau a| ~ pi m within NATIVE_MAX, m >= 1e4 beyond
+        a = radius_for_index(d, nu, m)
+        eta = solve_eta(nu, a)
+        cand = bumpmod._candidate(d, nu, nu * nu, m)
+        assert bumpmod._c_floor(nu, a, eta) <= abs(cand.c)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_closed_forms_of_c(self, d):
+        # c = -tau^2/cos^2 z (d = 1) and -tau^2/sin^2 z (d = 3), z = tau a
+        for nu in (0.3, 1.0, 2.5):
+            for m in (0, 1, 2, 5, 10, 40, 100):
+                cand = bumpmod._candidate(d, nu, nu * nu, m)
+                z = cand.tau * cand.a
+                edge = cmath.cos(z) if d == 1 else cmath.sin(z)
+                assert cand.c == pytest.approx(-cand.tau ** 2 / edge ** 2, rel=1e-10)
+
+    def test_floor_is_near_c_at_desk_scale(self):
+        # once sinh^2 y >> 1 the floor is within a few parts in 1/sinh^2 y
+        for d in (1, 3):
+            a = radius_for_index(d, 1.0, 10 ** 8)
+            eta = solve_eta(1.0, a)
+            cand = bumpmod._candidate(d, 1.0, 1.0, 10 ** 8)
+            assert 0.99 * abs(cand.c) < bumpmod._c_floor(1.0, a, eta) <= abs(cand.c)
+
+    def test_desk_whole_build_skips_most_bessel_evaluations(self, monkeypatch):
+        # the seed-0 desk-whole build of bench/run.py (the enumeration's first
+        # five targets); every probe was evaluated before the screen: 355 calls
+        calls = []
+        real = bumpmod.boundary_wavenumber
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(bumpmod, "boundary_wavenumber", counting)
+        construct.build(1, 1.5, 1.0, 5)
+        assert len(calls) <= 170
+
+    def test_other_dimensions_take_no_screen(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("screen consulted for d = 2")
+        monkeypatch.setattr(bumpmod, "_over_budget", refuse)
+        design_bump(2, 3.0, 1.0, 0.5, 0.5, 0.1)
 
 
 class TestNorms:

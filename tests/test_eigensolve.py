@@ -226,14 +226,17 @@ def reference_transfer(potential, k):
 
 
 def mp_lane_eval(potential, k):
-    """The mp lane's recursion at k with the solver's own refs and bits."""
+    """The mp lane's recursion at k with the solver's own refs and bits:
+    (F, bits)."""
     with specfun.lane(eigensolve._phase_scale(potential, k)) as ops:
         assert ops.mp
         bits = mpmath.mp.prec + specfun.FIXED_GUARD
         refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits))
                 for r in (specfun.upper_sqrt(k * k - v)
                           for _, v in eigensolve._intervals(potential))]
-        return eigensolve._transfer_eval_mp(potential, mpmath.mpc(k), refs, bits)
+        value, _ = eigensolve._transfer_eval_mp(potential, mpmath.mpc(k), refs, bits,
+                                                eigensolve._exact_intervals(potential))
+        return value, bits
 
 
 class TestFixedTransfer:
@@ -271,32 +274,43 @@ class TestFixedTransfer:
         upper = specfun.upper_sqrt(complex(k) ** 2 - 0.5)
         bits = self.BITS
         ref = (specfun._fixed(upper.real, bits), specfun._fixed(upper.imag, bits))
-        _, (kappa,) = eigensolve._transfer_eval_mp(pot, k, [ref], bits)
-        _, (flipped,) = eigensolve._transfer_eval_mp(pot, k, [(-ref[0], -ref[1])], bits)
+        exact = eigensolve._exact_intervals(pot)
+        _, (kappa,) = eigensolve._transfer_eval_mp(pot, k, [ref], bits, exact)
+        _, (flipped,) = eigensolve._transfer_eval_mp(pot, k, [(-ref[0], -ref[1])], bits, exact)
         assert kappa[1] > 0 and flipped == (-kappa[0], -kappa[1])
 
     def test_matches_100_digit_recursion(self, desk_potentials):
+        # the recursion runs on 2^-bits, bits = the lane's precision +
+        # FIXED_GUARD, from |f| <= 1 through step matrices of entries near
+        # one: a few 2^-bits per interval, and F rounded once to the lane's
+        # precision.  F is small at these roots, so a bound relative to |F|
+        # alone would leave the last digits unchecked.
         for pot, seeds in desk_potentials:
+            steps = len(eigensolve._intervals(pot))
             for k in seeds:
-                got, _ = mp_lane_eval(pot, k)
+                got, bits = mp_lane_eval(pot, k)
                 want = reference_transfer(pot, k)
                 with mpmath.workdps(100):
-                    assert abs(got - want) <= 1e-25 * abs(want)
+                    tol = (steps * mpmath.ldexp(1, 8 - bits)
+                           + abs(want) * mpmath.ldexp(1, specfun.FIXED_GUARD - bits))
+                    assert abs(got - want) <= tol
                 assert float(abs(got)) == float(abs(want))
 
     def test_zero_kappa_and_zero_k_divide_by_zero(self):
         pot = StepPotential1D((0.0, 1.0), (4.0,))
+        exact = eigensolve._exact_intervals(pot)
         with pytest.raises(ZeroDivisionError):  # kappa^2 = k^2 - 4 = 0
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(2), [(1, 0)], self.BITS)
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(2), [(1, 0)], self.BITS, exact)
         with pytest.raises(ZeroDivisionError):  # F divides by k
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0), [(0, 1)], self.BITS)
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0), [(0, 1)], self.BITS, exact)
 
     def test_growth_beyond_double_range_overflows(self):
         # a reference on the growing sheet: e^{2 i kappa L} leaves the
         # double range, as cmath.exp would in the native lane
         pot = StepPotential1D((0.0, 1e6), (1.0,))
         with pytest.raises(OverflowError):
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0, 1), [(0, -1)], self.BITS)
+            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0, 1), [(0, -1)], self.BITS,
+                                         eigensolve._exact_intervals(pot))
 
     def test_solves_build_no_mpmath_functions(self, desk_potentials, monkeypatch):
         def refuse(*args, **kwargs):
