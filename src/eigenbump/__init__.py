@@ -9,8 +9,8 @@ from .construct import (ConstructionLedger, LedgerEntry, Target, budgets,
                         build, choose_shift, enumerate_targets, estimate_gamma,
                         step_potential, target_index)
 from .eigensolve import (EigenResult, SecularProblem, StepPotential1D,
-                         count_zeros, grid_oracle_1d, refine_eigen,
-                         secular_residual, step_matrix, transfer_eigen_1d)
+                         grid_oracle_1d, refine_eigen, secular_residual,
+                         transfer_eigen_1d)
 from .ltreport import aad_check, emit_cloud, lt_partial_sum, norm_budget_check
 from .specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
 
@@ -22,8 +22,7 @@ __all__ = [
     "boundary_wavenumber", "design_bump", "norm_p", "norm_inf",
     "potential_eval", "eigenfunction_eval",
     "SecularProblem", "EigenResult", "StepPotential1D", "secular_residual",
-    "refine_eigen", "count_zeros", "transfer_eigen_1d", "grid_oracle_1d",
-    "step_matrix",
+    "refine_eigen", "transfer_eigen_1d", "grid_oracle_1d",
     "Target", "LedgerEntry", "ConstructionLedger", "enumerate_targets",
     "target_index", "budgets", "choose_shift", "estimate_gamma", "build",
     "step_potential",

@@ -86,9 +86,6 @@ class PlacedBump:
     params: BumpParams
     t: float
 
-    def support(self) -> tuple[float, float]:
-        return (self.t - self.params.a, self.t + self.params.a)
-
 
 def radius_for_index(d: int, nu: float, m: int) -> float:
     """Ball radius a = (d pi/4 + pi m) / nu."""
@@ -192,19 +189,21 @@ def norm_p(params: BumpParams, p: float) -> float:
 
 
 def _norm_p(d: int, p: float, a: float, c_abs: float) -> float:
-    """``norm_p`` of a bump with radius a and |c| = c_abs, p > d."""
-    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    ball = math.exp(p * math.log(c_abs) + d * math.log(a)) / d if c_abs > 0.0 else 0.0
+    """``norm_p`` of a bump with radius a and |c| = c_abs, p > d, formed in
+    logs (the sphere area through lgamma) so that no p-th power leaves the
+    double range."""
+    terms = []
+    if c_abs > 0.0:
+        terms.append(p * math.log(c_abs) + d * math.log(a) - math.log(d))
     x_coef = abs(d - 3.0) * abs(d - 1.0)
-    if x_coef == 0.0:
-        tail = 0.0
-    else:
-        tail = math.exp(p * math.log(x_coef / 4.0) - (2.0 * p - d) * math.log(a)) \
-            / (2.0 * p - d)
-    total_p = surf * (ball + tail)
-    if total_p == 0.0:
+    if x_coef > 0.0:
+        terms.append(p * math.log(x_coef / 4.0) - (2.0 * p - d) * math.log(a)
+                     - math.log(2.0 * p - d))
+    if not terms:
         return 0.0
-    return math.exp(math.log(total_p) / p)
+    top = max(terms)
+    log_surf = math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
+    return math.exp((log_surf + top + math.log(sum(math.exp(t - top) for t in terms))) / p)
 
 
 def norm_inf(params: BumpParams) -> float:
@@ -306,16 +305,10 @@ def _over_budget(d: int, p: float, eps: float, delta: float, nu: float,
     """Whether a d = 1 or d = 3 bump of radius a and decay rate eta
     provably fails ``norm_inf_budget`` or ``norm_p_budget``: for these d,
     ``norm_inf`` is |c| and ``norm_p`` = (surf |c|^p a^d/d)^{1/p}, both
-    growing with |c|, so ``_c_floor`` reaching a budget proves it.  Where
-    ``norm_p`` overflows at the floor, the probe is left to show it.
+    growing with |c|, so ``_c_floor`` reaching a budget proves it.
     """
     low = _c_floor(nu, a, eta)
-    if low >= delta:
-        return True
-    try:
-        return _norm_p(d, p, a, low) >= eps
-    except OverflowError:
-        return False
+    return low >= delta or _norm_p(d, p, a, low) >= eps
 
 
 def _first_failure(params: BumpParams, p: float, eps: float, delta: float,

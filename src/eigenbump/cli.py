@@ -42,7 +42,14 @@ def _c(z: complex) -> list:
 
 
 def _uc(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_finite(pair[0]), _finite(pair[1]))
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise InvalidArgumentError("non-finite number %r" % x)
+    return x
 
 
 def ledger_to_doc(ledger: ConstructionLedger, steps: int, created: str) -> dict:
@@ -102,29 +109,30 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
                                    % (version, LEDGER_VERSION))
     try:
         cfg = doc["config"]
-        phi = None if cfg["phi"] is None else float(cfg["phi"])
-        ledger = ConstructionLedger(d=int(cfg["dim"]), p=float(cfg["p"]),
-                                    budget=float(cfg["budget"]),
+        phi = None if cfg["phi"] is None else _finite(cfg["phi"])
+        ledger = ConstructionLedger(d=int(cfg["dim"]), p=_finite(cfg["p"]),
+                                    budget=_finite(cfg["budget"]),
                                     domain=cfg["domain"], phi=phi,
                                     failed_at=doc.get("failed_at"))
         for rec in doc["entries"]:
             b = rec["bump"]
-            nu = float(b["nu"])
+            nu, eta = _finite(b["nu"]), _finite(b["eta"])
             bump_params = BumpParams(
-                d=ledger.d, lam=float(b["lambda_target"]), nu=nu,
-                m=int(b["m_index"]), a=float(b["a"]), eta=float(b["eta"]),
-                tau=complex(nu, float(b["eta"])), k=_uc(b["k"]),
-                residual=float(b["residual"]))
+                d=ledger.d, lam=_finite(b["lambda_target"]), nu=nu,
+                m=int(b["m_index"]), a=_finite(b["a"]), eta=eta,
+                tau=complex(nu, eta), k=_uc(b["k"]),
+                residual=_finite(b["residual"]))
             entry = LedgerEntry(
                 n=int(rec["n"]),
                 target=Target(q=Fraction(int(rec["q"][0]), int(rec["q"][1])),
                               m=int(rec["m"])),
-                eps_n=float(rec["eps"]), delta_n=float(rec["delta"]),
-                bump=bump_params, t=float(rec["t"]), mu_n=_uc(rec["mu_n"]),
-                residual_mu=float(rec["residual_mu"]), rho_n=float(rec["rho"]),
-                gamma_n=float(rec["gamma"]),
+                eps_n=_finite(rec["eps"]), delta_n=_finite(rec["delta"]),
+                bump=bump_params, t=_finite(rec["t"]), mu_n=_uc(rec["mu_n"]),
+                residual_mu=_finite(rec["residual_mu"]), rho_n=_finite(rec["rho"]),
+                gamma_n=_finite(rec["gamma"]),
                 gamma_warning=bool(rec["gamma_warning"]),
                 lambda_n=_uc(rec["lambda"]) if rec["lambda"] is not None else None,
+                # NaN in partial ledgers: no lambda was located
                 residual_lambda=float(rec["residual"]),
                 dist_lambda_mu=float(rec["dist_lambda_mu"]),
                 lambda_within_rho=bool(rec["lambda_within_rho"]),

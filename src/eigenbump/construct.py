@@ -34,8 +34,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import mpmath
-
 from . import bump as bumpmod
 from . import eigensolve, specfun
 from .bump import BumpParams
@@ -457,9 +455,7 @@ def _verify_against_full(ledger: ConstructionLedger) -> None:
         lam = complex(k_lam) ** 2
         # measure |lambda - mu| before double rounding; at astronomic
         # scales the gap sits near one ulp of mu itself
-        with specfun.MP_LOCK, mpmath.workdps(40):
-            diff = abs(mpmath.mpc(k_lam) ** 2 - mpmath.mpc(entry._k_mu) ** 2)
-            dist_lm = float(diff)
+        dist_lm = specfun._dist_squares(k_lam, entry._k_mu)
         q_f = float(entry.target.q)
         entry.lambda_n = lam
         entry.residual_lambda = res_l

@@ -3,8 +3,7 @@
 Three routes that share as little code as possible:
 
   * a secular-equation residual F(k) for single radial bumps in any
-    dimension, with Newton polishing and an argument-principle zero
-    counter,
+    dimension, with Newton polishing,
   * an exact 2x2 transfer-matrix solver for 1-d step potentials on the
     whole line and the Robin half-line,
   * a finite-difference grid oracle for 1-d cross-validation: the grid
@@ -34,8 +33,7 @@ from typing import TYPE_CHECKING
 from mpmath import libmp, mp
 
 from . import specfun
-from .errors import (AccuracyError, BranchError, ContourError,
-                     GridResolutionError, InvalidArgumentError,
+from .errors import (AccuracyError, GridResolutionError, InvalidArgumentError,
                      NoConvergenceError, PoleError, SingularShiftError,
                      WrongSheetError)
 
@@ -222,93 +220,8 @@ def polish_root_mp(problem: SecularProblem, k_seed: complex):
                        ops.lift(k0), ops.lift(problem.branch_ref), scale)
 
 
-def count_zeros(problem: SecularProblem, rect) -> int:
-    """Winding number of the secular function around a rectangle.
-
-    ``rect`` is a pair of opposite corners in the k-plane.  The argument
-    is marched adaptively (segments split until each phase increment is
-    below pi/2), which is the discrete form of integrating F'/F.  Raises
-    ContourError when the contour passes too close to a zero and
-    BranchError if tau fails to return to its starting branch.
-    """
-    z_a, z_b = complex(rect[0]), complex(rect[1])
-    xs = sorted((z_a.real, z_b.real))
-    ys = sorted((z_a.imag, z_b.imag))
-    if xs[0] == xs[1] or ys[0] == ys[1]:
-        raise InvalidArgumentError("rectangle is degenerate")
-    corners = [complex(xs[0], ys[0]), complex(xs[1], ys[0]),
-               complex(xs[1], ys[1]), complex(xs[0], ys[1])]
-
-    pts = []
-    per_side = 16
-    for i in range(4):
-        start, end = corners[i], corners[(i + 1) % 4]
-        for j in range(per_side):
-            pts.append(start + (end - start) * (j / per_side))
-    pts.append(pts[0])
-
-    # the corners bound the phase |tau| a along the contour closely enough
-    # to pick the lane
-    with specfun.lane(max(_secular_scale(problem, z) for z in corners)) as ops:
-        nodes = []
-        ref = ops.lift(problem.branch_ref)
-        for z in pts:
-            f_val, ref = _secular_eval(problem, ops.lift(z), ref, ops)
-            nodes.append([z, complex(f_val), ref])
-
-        # adaptive refinement: split any segment whose phase jump is >= pi/2
-        guard = 0
-        i = 0
-        while i < len(nodes) - 1:
-            f1, f2 = nodes[i][1], nodes[i + 1][1]
-            if f1 == 0 or f2 == 0:
-                raise ContourError("contour passes through a zero; inflate the box")
-            if abs(cmath.phase(f2 / f1)) < math.pi / 2:
-                i += 1
-                continue
-            guard += 1
-            if guard > 20000:
-                raise ContourError("contour refinement did not settle; "
-                                   "a zero may sit on the box; inflate it")
-            z_mid = 0.5 * (nodes[i][0] + nodes[i + 1][0])
-            f_mid, ref_mid = _secular_eval(problem, ops.lift(z_mid), nodes[i][2], ops)
-            nodes.insert(i + 1, [z_mid, complex(f_mid), ref_mid])
-
-        mags = sorted(abs(n[1]) for n in nodes)
-        if mags[0] < 1e-9 * mags[len(mags) // 2]:
-            raise ContourError("min |F| on contour is %.3e; inflate the box" % mags[0])
-        if abs(nodes[-1][2] - nodes[0][2]) > 1e-6 * (1.0 + abs(nodes[0][2])):
-            raise BranchError("tau did not return to its starting branch; "
-                              "the contour crosses the sqrt cut")
-
-    total = 0.0
-    for i in range(len(nodes) - 1):
-        total += cmath.phase(nodes[i + 1][1] / nodes[i][1])
-    winding = total / (2.0 * math.pi)
-    if abs(winding - round(winding)) > 0.2:
-        raise ContourError("winding number %.3f is not close to an integer" % winding)
-    return int(round(winding))
-
-
 # ---------------------------------------------------------------------------
 # 1-d transfer matrix
-
-def step_matrix(k: complex, value: complex, length: float) -> np.ndarray:
-    """Unscaled transfer matrix of one constant step in the (f, f') basis.
-
-    All entries are even in kappa = sqrt(k^2 - value), so no branch choice
-    is involved, and the determinant is exactly 1.  Diagnostic form; the
-    solver itself propagates the e^{i kappa L}-scaled variant.
-    """
-    import numpy as np
-
-    kappa = specfun.upper_sqrt(k * k - complex(value))
-    kl = kappa * length
-    if kappa == 0:
-        return np.array([[1.0, length], [0.0, 1.0]], dtype=complex)
-    return np.array([[cmath.cos(kl), cmath.sin(kl) / kappa],
-                     [-kappa * cmath.sin(kl), cmath.cos(kl)]], dtype=complex)
-
 
 def _intervals(potential: StepPotential1D):
     """Bounded intervals (length, value) swept by the propagation."""

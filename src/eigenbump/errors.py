@@ -32,20 +32,12 @@ class PoleError(EigenbumpError):
         self.distance = distance
 
 
-class BranchError(EigenbumpError):
-    """Continuous tracking of a square-root branch failed."""
-
-
 class NoConvergenceError(EigenbumpError):
     """Root iteration did not converge."""
 
 
 class WrongSheetError(EigenbumpError):
     """Root iteration converged to a wavenumber with Im k <= 0."""
-
-
-class ContourError(EigenbumpError):
-    """A winding-number contour passes too close to a zero."""
 
 
 class GridResolutionError(EigenbumpError):

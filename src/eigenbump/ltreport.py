@@ -69,8 +69,7 @@ def norm_budget_check(ledger: ConstructionLedger) -> NormReport:
     p = ledger.p
     compact = ledger.d in (1, 3)
     if compact:
-        total_p = sum(bumpmod.norm_p(e.bump, p) ** p for e in entries)
-        norm_p_val = total_p ** (1.0 / p) if total_p > 0.0 else 0.0
+        norm_p_val = _lp_sum([bumpmod.norm_p(e.bump, p) for e in entries], p)
         norm_inf_val = max((bumpmod.norm_inf(e.bump) for e in entries), default=0.0)
     else:
         norm_p_val = sum(bumpmod.norm_p(e.bump, p) for e in entries)
@@ -78,13 +77,20 @@ def norm_budget_check(ledger: ConstructionLedger) -> NormReport:
     quad = None
     if ledger.d == 1:
         # piecewise-constant integrand: the quadrature is a finite sum
-        quad_p = sum(2.0 * e.bump.a * abs(e.bump.c) ** p for e in entries)
-        quad = quad_p ** (1.0 / p) if quad_p > 0.0 else 0.0
+        quad = _lp_sum([abs(e.bump.c) * (2.0 * e.bump.a) ** (1.0 / p)
+                        for e in entries], p)
     minkowski = sum(e.eps_n for e in entries)
     margin = ledger.budget - max(norm_p_val, norm_inf_val)
     return NormReport(norm_p=norm_p_val, norm_inf=norm_inf_val,
                       budget=ledger.budget, margin=margin,
                       minkowski_p=minkowski, quadrature_p=quad, exact=compact)
+
+
+def _lp_sum(norms: list, p: float) -> float:
+    """(sum n_i^p)^{1/p}, formed as max * (sum (n_i/max)^p)^{1/p} so that no
+    p-th power leaves the double range."""
+    top = max(norms, default=0.0)
+    return top * sum((n / top) ** p for n in norms) ** (1.0 / p) if top else 0.0
 
 
 def _check_disjoint(entries) -> None:

@@ -366,6 +366,18 @@ def _exact_mp(z):
     return (*((-1) ** sign * int(man) << exp + s for sign, man, exp, _ in z._mpc_), s)
 
 
+def _dist_squares(k1, k2) -> float:
+    """|k1^2 - k2^2| of two wavenumbers, each a complex or an mpc, formed
+    exactly on ints and rounded once."""
+    (x1, y1, s1), (x2, y2, s2) = (_exact(k) if isinstance(k, complex) else _exact_mp(k)
+                                  for k in (k1, k2))
+    s = max(s1, s2)
+    x1, y1, x2, y2 = x1 << s - s1, y1 << s - s1, x2 << s - s2, y2 << s - s2
+    re, im = x1 * x1 - y1 * y1 - x2 * x2 + y2 * y2, 2 * (x1 * y1 - x2 * y2)
+    return libmp.to_float(libmp.mpf_sqrt(libmp.from_man_exp(re * re + im * im, -4 * s),
+                                         53, "n"))
+
+
 def _double_range(z: complex) -> None:
     """The double lane's range check on either route: AccuracyError beyond
     |Im z| = 700, where cos z and J of small orders leave the double range."""

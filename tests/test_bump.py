@@ -409,8 +409,8 @@ class TestScreen:
                         == reference_design(*args, m_cap=m_cap))
 
     def test_norm_p_overflow_is_left_to_the_probe(self):
-        # |c|^p a^d overflows norm_p at the floor of the first probes, which
-        # fail the capture budget when evaluated
+        # |c|^p a^d leaves the double range at the floor of the first probes;
+        # the screen's norm, formed in logs, keeps the unscreened design
         args = (1, 200.0, 100.0, 1.0, 1000.0, 0.5)
         assert design_outcome(*args) == reference_design(*args)
 
@@ -466,6 +466,17 @@ class TestScreen:
         design_bump(2, 3.0, 1.0, 0.5, 0.5, 0.1)
 
 
+def reference_norm_p(d, p, a, c_abs):
+    """``norm_p``'s closed form at 50 digits."""
+    with mpmath.workdps(50):
+        d, p, a, c_abs = (mpmath.mpf(v) for v in (d, p, a, c_abs))
+        surf = 2 * mpmath.pi ** (d / 2) / mpmath.gamma(d / 2)
+        x_coef = abs(d - 3) * abs(d - 1)
+        total = surf * (c_abs ** p * a ** d / d
+                        + x_coef ** p * a ** (d - 2 * p) / (4 ** p * (2 * p - d)))
+        return float(total ** (1 / p))
+
+
 class TestNorms:
     def test_d1_closed_form_is_plain_integral(self, moderate_bump):
         p = 2.0
@@ -502,6 +513,21 @@ class TestNorms:
         want = quad(inside, 0.0, params.a, epsrel=1e-12)[0] \
             + quad(outside, params.a, np.inf, epsrel=1e-12)[0]
         assert norm_p(params, p) ** p == pytest.approx(want, rel=1e-8)
+
+    def test_log_form_matches_50_digit_closed_form(self):
+        # |c|^p, a^d and a^(d-2p) leave the double range on most of this grid
+        for d in (1, 2, 3, 5, 200):
+            for p in (d + 0.5, 2.0 * d + 1.0, 300.0, 1000.0):
+                for a in (0.1, 1.0, 1e3, 1e8, 1e17):
+                    for c_abs in (1e-20, 1e-8, 0.03, 1.0, 10.0):
+                        assert bumpmod._norm_p(d, p, a, c_abs) == pytest.approx(
+                            reference_norm_p(d, p, a, c_abs), rel=1e-13)
+
+    def test_large_p_budget_is_not_vacuous(self):
+        # the L^300 norm of index 30 (0.083) once underflowed to 0.0
+        params = design_bump(1, 300.0, 1.0, 1e-3, 1.0, 0.4)
+        assert 0.0 < norm_p(params, 300.0) < 1e-3
+        assert reference_norm_p(1, 300.0, params.a, abs(params.c)) < 1e-3
 
     def test_norm_p_requires_p_above_d(self, moderate_bump):
         with pytest.raises(InvalidArgumentError):

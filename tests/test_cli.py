@@ -1,11 +1,14 @@
 """CLI: validation, exit codes, ledger round trips, CSV export."""
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from eigenbump import cli, construct
@@ -98,6 +101,18 @@ class TestBumpCommand:
                     "--m-cap", "-1"])
         assert code == 2
         assert "--m-cap must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "1", "--p", "200", "--lambda", "100", "--eps", "1",
+         "--delta", "1000", "--r", "1000"],
+        ["--dim", "200", "--p", "300", "--lambda", "1", "--eps", "1",
+         "--delta", "1", "--r", "1"],
+    ])
+    def test_norms_past_double_range(self, argv, capsys):
+        # |c|^p or a^d leaves the double range; the L^p norm does not
+        code = run(["bump", *argv])
+        assert code == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["norm_p"] < 1.0
 
     def test_unknown_log_level_is_validation_error(self, monkeypatch, capsys):
         # logging's own "Unknown level" ValueError would be a traceback
@@ -370,6 +385,24 @@ class TestReportCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_large_p_norms_hold_to_50_digits(self, tmp_path, capsys):
+        # each bump's L^300 norm was once a double underflow that passed
+        # any budget, and the report read 0
+        path = tmp_path / "p300.json"
+        assert run(["construct", "--dim", "1", "--p", "300", "--budget", "0.05",
+                    "--steps", "2", "--out", str(path)]) == 0
+        for entry in json.loads(path.read_text())["entries"]:
+            bump = entry["bump"]
+            with mpmath.workdps(50):
+                c_abs = abs(mpmath.mpc(*bump["c"]))
+                norm = (2 * mpmath.mpf(bump["a"]) * c_abs ** 300) ** (mpmath.mpf(1) / 300)
+                assert norm < entry["eps"]
+        assert run(["report", "--ledger", str(path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "norms.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(float(row["norm_p"]) > 0.0 for row in rows)
+
     def test_seventeen_digit_formatting(self, ledger_file, tmp_path, capsys):
         out_dir = tmp_path / "fmt"
         run(["report", "--ledger", ledger_file, "--out-dir", str(out_dir)])
@@ -415,10 +448,21 @@ def _zero_bump_a(doc):
     return json.dumps(doc)
 
 
+def _nan_t(doc):
+    doc["entries"][0]["t"] = math.nan
+    return json.dumps(doc)
+
+
+def _inf_k(doc):
+    doc["entries"][0]["bump"]["k"] = [math.inf, 1.0]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("corrupt", [_not_json, _set_bump_a,
                                      _set_zero_denominator, _set_version,
-                                     _set_phi, _drop_lambda, _zero_bump_a])
+                                     _set_phi, _drop_lambda, _zero_bump_a,
+                                     _nan_t, _inf_k])
 def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
                                              tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -430,6 +474,36 @@ def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("corrupt", [_nan_t, _inf_k])
+def test_non_finite_number_fails_grid_verify_cleanly(corrupt, ledger_file,
+                                                     tmp_path, capsys):
+    # partial ledgers write NaN only as an entry's residual and
+    # dist_lambda_mu (see TestVerifyCommand::test_partial_ledger_refused)
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt(json.loads(Path(ledger_file).read_text())))
+    code = run(["verify", "--ledger", str(bad), "--oracle", "grid"])
+    assert code == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+def test_precision_is_set_by_the_lane_alone(tmp_path, monkeypatch, capsys):
+    # one precision rule: every change of mpmath's working precision during
+    # a seed-0 desk-whole build and its transfer verify is specfun.lane's
+    callers = []
+    for name in ("workdps", "workprec"):
+        def spy(*args, _real=getattr(mpmath, name), **kwargs):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mpmath, name, spy)
+    path = str(tmp_path / "desk.json")
+    assert run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
+                "--steps", "5", "--out", path]) == 0
+    assert run(["verify", "--ledger", path, "--oracle", "transfer"]) == 0
+    capsys.readouterr()
+    assert callers and set(callers) == {("eigenbump.specfun", "lane")}
 
 
 class TestDeterminismAndRoundTrip:

@@ -15,14 +15,12 @@ from scipy.optimize import brentq
 from eigenbump import bump as bumpmod
 from eigenbump import construct, eigensolve, specfun
 from eigenbump.eigensolve import (SecularProblem, StepPotential1D, _fd_nearest,
-                                  _fd_grid_vector, _fd_operator, count_zeros,
-                                  grid_layout,
-                                  grid_oracle_1d, grid_sigma_min,
-                                  refine_eigen, secular_residual, step_matrix,
-                                  transfer_eigen_1d)
-from eigenbump.errors import (ContourError, GridResolutionError,
-                              InvalidArgumentError, NoConvergenceError,
-                              SingularShiftError, WrongSheetError)
+                                  _fd_grid_vector, _fd_operator, grid_layout,
+                                  grid_oracle_1d, grid_sigma_min, refine_eigen,
+                                  secular_residual, transfer_eigen_1d)
+from eigenbump.errors import (GridResolutionError, InvalidArgumentError,
+                              NoConvergenceError, SingularShiftError,
+                              WrongSheetError)
 
 
 def problem_for(params):
@@ -43,20 +41,18 @@ class TestSecular:
 
     def test_d3_matches_cotangent_form(self):
         params = bumpmod.design_bump(3, 4.0, 1.0, 4.0, 4.0, 0.4)
-        prob = problem_for(params)
-        for dk in (0.0, 0.01 + 0.003j, -0.02j):
-            k = params.k + dk
-            tau = cmath.sqrt(k * k - params.c)
-            if abs(tau - params.tau) > abs(tau + params.tau):
+        # c = 0: F = i k e^{-ika} / sin(ka), which has no zero off the origin
+        free = SecularProblem(d=3, c=0.0, a=2.0, branch_ref=complex(1.0, 0.5))
+        cases = [(problem_for(params), params.k + dk)
+                 for dk in (0.0, 0.01 + 0.003j, -0.02j)]
+        cases += [(free, k) for k in (0.3 + 0.1j, 1.4 + 1.05j, 2.5 + 2.0j)]
+        for prob, k in cases:
+            tau = cmath.sqrt(k * k - prob.c)
+            if abs(tau - prob.branch_ref) > abs(tau + prob.branch_ref):
                 tau = -tau
-            want = k + 1j * tau * (cmath.cos(tau * params.a)
-                                   / cmath.sin(tau * params.a))
+            want = k + 1j * tau * (cmath.cos(tau * prob.a)
+                                   / cmath.sin(tau * prob.a))
             assert secular_residual(prob, k) == pytest.approx(want, rel=1e-10)
-
-    def test_free_problem_has_no_upper_roots(self):
-        # c = 0: F(k) = 2k (d=3), no zeros off the origin
-        prob = SecularProblem(d=3, c=0.0, a=2.0, branch_ref=complex(1.0, 0.5))
-        assert count_zeros(prob, (0.3 + 0.1j, 2.5 + 2.0j)) == 0
 
     def test_refine_converges_from_asymptotic_seed(self):
         for d in (1, 2, 3, 5):
@@ -87,43 +83,6 @@ class TestSecular:
         res = refine_eigen(problem_for(moderate_bump), moderate_bump.k)
         assert res.mu == res.k * res.k
         assert res.method == "secular"
-
-
-class TestCountZeros:
-    def test_one_root_around_designed(self, moderate_bump):
-        k = moderate_bump.k
-        prob = problem_for(moderate_bump)
-        half = min(0.3 * k.imag, math.pi / (8.0 * moderate_bump.a))
-        box = (k - half - 1j * half, k + half + 1j * half)
-        assert count_zeros(prob, box) == 1
-
-    def test_doubled_box_still_one(self, moderate_bump):
-        k = moderate_bump.k
-        prob = problem_for(moderate_bump)
-        half = min(0.3 * k.imag, math.pi / (8.0 * moderate_bump.a))
-        box = (k - 2 * half - 2j * half, k + 2 * half + 2j * half)
-        assert count_zeros(prob, box) == 1
-
-    def test_far_region_empty(self):
-        prob = SecularProblem(d=1, c=complex(0.0, -1e-4), a=1.0,
-                              branch_ref=complex(1.0, 0.5))
-        assert count_zeros(prob, (2.0 + 1.0j, 3.0 + 2.0j)) == 0
-
-    def test_one_root_in_extended_lane(self):
-        # |tau| a ~ 4e5: the contour runs in the mp lane
-        params = bumpmod.design_bump(1, 2.0, 1.0, 0.05, 0.05, 0.01)
-        assert abs(params.tau) * params.a > 1e5
-        k = params.k
-        half = min(0.3 * k.imag, math.pi / (8.0 * params.a))
-        box = (k - half - 1j * half, k + half + 1j * half)
-        assert count_zeros(problem_for(params), box) == 1
-
-    def test_contour_through_root_detected(self, moderate_bump):
-        prob = problem_for(moderate_bump)
-        k = moderate_bump.k
-        # a corner sits (numerically) on the root
-        with pytest.raises((ContourError, InvalidArgumentError)):
-            count_zeros(prob, (k, k + 0.05 + 0.05j))
 
 
 class TestTransfer:
@@ -330,29 +289,6 @@ class TestFixedTransfer:
         k, _ = eigensolve._transfer_newton(single_bump_potential(moderate_bump),
                                            moderate_bump.k)
         assert type(k) is complex
-
-
-class TestStepMatrix:
-    def test_determinant_one(self, rng):
-        # cos^2 + sin^2 = 1 is conditioned like eps * e^{2 |Im kappa L|},
-        # so the 1e-12 check is meaningful for |Im kappa L| up to ~4
-        count = 0
-        while count < 40:
-            k = complex(rng.uniform(-2, 2), rng.uniform(0.05, 1.0))
-            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            length = float(rng.uniform(0.1, 8.0))
-            kappa = cmath.sqrt(k * k - w)
-            if abs((kappa * length).imag) > 4.0:
-                continue
-            count += 1
-            det = np.linalg.det(step_matrix(k, w, length))
-            assert det == pytest.approx(1.0, rel=1e-12)
-
-    def test_composition_matches_single_step(self):
-        k, w = complex(-1.0, 0.2), complex(0.1, -0.3)
-        one = step_matrix(k, w, 2.0)
-        two = step_matrix(k, w, 1.2) @ step_matrix(k, w, 0.8)
-        assert np.allclose(one, two, rtol=1e-12)
 
 
 @pytest.fixture

@@ -440,6 +440,20 @@ class TestIntegerKernel:
             with pytest.raises(PoleError):
                 specfun.bessel_ratio_mp(0.5, mpmath.mpc(mpmath.pi * 10 ** 5))
 
+    def test_dist_squares_rounds_the_exact_modulus_once(self, rng):
+        # |k1^2 - k2^2| for doubles and lane mpcs from 1e-3 to 1e17, with
+        # gaps down to 1e-40 |k| and none; 5000 bits leave one rounding
+        for _ in range(200):
+            k1 = complex(rng.uniform(0.1, 3.0) * 10.0 ** rng.integers(-3, 18),
+                         rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(-20, 1))
+            gap = complex(*rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.integers(-40, 1)
+            with mpmath.workdps(int(rng.integers(30, 50))):
+                for pair in ((k1, k1 + gap * abs(k1)), (k1, k1),
+                             (mpmath.mpc(k1) * (1 + mpmath.mpf(2) ** -120), k1)):
+                    with mpmath.workprec(5000):
+                        want = float(abs(mpmath.mpc(pair[0]) ** 2 - mpmath.mpc(pair[1]) ** 2))
+                    assert specfun._dist_squares(*pair) == want
+
 
 class TestInvariants:
     def test_recurrence_consistency(self, rng):
