@@ -424,16 +424,16 @@ def _finalize(params: BumpParams, p: float, eps: float, delta: float,
 
 def _polish(params: BumpParams) -> tuple[BumpParams, float]:
     """Secular residual of the stored-double bump, after Newton on the
-    secular function of the *stored* potential (c, a) from k in the lane
+    secular function of the *stored* potential (c, a) from k at the bits
     its phase needs (``eigensolve.polish_root_mp``).
 
-    In the native regime the stored wavenumber k is itself accurate enough
-    that |F(k)| <= a * eps stays below tolerance, so Newton returns at its
-    seed with k and |F(k)| unchanged.  At arbitrary-precision scales the
-    residual of a stored double is dominated by the resonance-ladder
-    steepness |F'| ~ a, so k is re-rounded from the root found at scaled
-    precision; the recorded residual then certifies that k sits within an
-    ulp of a true root.
+    In the native regime the stored k is itself accurate enough that
+    |F(k)| <= a * eps stays below tolerance, so Newton returns at its seed
+    with k and |F(k)| unchanged.  Beyond it the residual of a stored
+    double is dominated by the resonance-ladder steepness |F'| ~ a, so
+    Newton steps on an exact offset from k, and k is the root rounded
+    once; the recorded residual then certifies that k sits within an ulp
+    of a true root.
     """
     problem = eigensolve.SecularProblem(d=params.d, c=params.c, a=params.a,
                                         branch_ref=params.tau)

@@ -52,6 +52,21 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    if type(value) is not int:  # a JSON integer: not a bool, float or string
+        raise InvalidArgumentError("not an integer: %r" % (value,))
+    return value
+
+
+def _phi(domain, phi) -> float | None:
+    """A ledger's phi: null on the whole line, in [0, pi) on the Robin one."""
+    if domain == "whole" and phi is None:
+        return None
+    if domain == "robin" and phi is not None and 0.0 <= _finite(phi) < math.pi:
+        return _finite(phi)
+    raise InvalidArgumentError("phi %r does not fit domain %r" % (phi, domain))
+
+
 def ledger_to_doc(ledger: ConstructionLedger, steps: int, created: str) -> dict:
     entries = []
     for e in ledger.entries:
@@ -109,23 +124,23 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
                                    % (version, LEDGER_VERSION))
     try:
         cfg = doc["config"]
-        phi = None if cfg["phi"] is None else _finite(cfg["phi"])
-        ledger = ConstructionLedger(d=int(cfg["dim"]), p=_finite(cfg["p"]),
-                                    budget=_finite(cfg["budget"]),
-                                    domain=cfg["domain"], phi=phi,
-                                    failed_at=doc.get("failed_at"))
+        failed_at = doc.get("failed_at")
+        ledger = ConstructionLedger(d=_integer(cfg["dim"]), p=_finite(cfg["p"]),
+                                    budget=_finite(cfg["budget"]), domain=cfg["domain"],
+                                    phi=_phi(cfg["domain"], cfg["phi"]),
+                                    failed_at=None if failed_at is None else _integer(failed_at))
         for rec in doc["entries"]:
             b = rec["bump"]
             nu, eta = _finite(b["nu"]), _finite(b["eta"])
             bump_params = BumpParams(
                 d=ledger.d, lam=_finite(b["lambda_target"]), nu=nu,
-                m=int(b["m_index"]), a=_finite(b["a"]), eta=eta,
+                m=_integer(b["m_index"]), a=_finite(b["a"]), eta=eta,
                 tau=complex(nu, eta), k=_uc(b["k"]),
                 residual=_finite(b["residual"]))
             entry = LedgerEntry(
-                n=int(rec["n"]),
-                target=Target(q=Fraction(int(rec["q"][0]), int(rec["q"][1])),
-                              m=int(rec["m"])),
+                n=_integer(rec["n"]),
+                target=Target(q=Fraction(_integer(rec["q"][0]), _integer(rec["q"][1])),
+                              m=_integer(rec["m"])),
                 eps_n=_finite(rec["eps"]), delta_n=_finite(rec["delta"]),
                 bump=bump_params, t=_finite(rec["t"]), mu_n=_uc(rec["mu_n"]),
                 residual_mu=_finite(rec["residual_mu"]), rho_n=_finite(rec["rho"]),
@@ -142,7 +157,7 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
         if ledger.failed_at is None and any(e.lambda_n is None for e in ledger.entries):
             raise InvalidArgumentError("a complete ledger has an entry without lambda")
         meta = {"version": doc["version"], "created": doc["created"],
-                "steps": int(cfg["steps"])}
+                "steps": _integer(cfg["steps"])}
         return ledger, meta
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidArgumentError("ledger schema mismatch: %s" % exc) from exc

@@ -84,7 +84,7 @@ class LedgerEntry:
     dist_lambda_mu: float = math.nan
     lambda_within_rho: bool = False
     verified: bool = False
-    _k_mu: object = field(default=None, repr=False)  # full-precision wavenumber
+    _k_mu: object = field(default=None, repr=False)  # mu_n's root: complex or exact OffsetK
 
 
 @dataclass

@@ -16,10 +16,10 @@ every square root sqrt(k^2 - c) is tracked continuously from a reference
 value so Newton paths never hop branches.  Transfer propagation rescales
 each interval by the analytic factor e^{i kappa L}; this tames the
 exponential growth of the decaying solution without breaking the complex
-differentiability Newton relies on.  Every solve picks its arithmetic
-from its accumulated phase through ``specfun.lane``: beyond ~3e4 radians,
-where double argument reduction would drown the 1e-10 tolerance, solves run
-at the lane's digits, the transfer kernel on scaled ints (Newton's k an mpc).
+differentiability Newton relies on.  Beyond ~3e4 radians of accumulated
+phase, where double argument reduction would drown the 1e-10 tolerance,
+Newton steps in double on the offset from the seed, and each evaluation
+runs on ints at the phase's bits (``specfun.solve_bits``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath import libmp, mp
+from mpmath import libmp
 
 from . import specfun
 from .errors import (AccuracyError, GridResolutionError, InvalidArgumentError,
@@ -76,6 +76,17 @@ class EigenResult:
     method: str
 
 
+class OffsetK(NamedTuple):
+    """A root beyond NATIVE_MAX, k = seed + offset; complex() rounds it once."""
+
+    seed: complex
+    offset: complex
+
+    def __complex__(self) -> complex:
+        x, y, s = specfun._exact(*self)
+        return specfun._rounded(x, y, 1 << s)
+
+
 def eigen_result(k: complex, residual: float, method: str) -> EigenResult:
     k = complex(k)
     return EigenResult(k=k, mu=k * k, residual=float(residual), method=method)
@@ -115,25 +126,116 @@ class StepPotential1D:
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked square roots
+# branch-tracked square roots and Newton
 
-def _branch_sqrt(w, ref, sqrt_fn):
-    s = sqrt_fn(w)
+def _branch_sqrt(w: complex, ref: complex) -> complex:
+    s = cmath.sqrt(w)
     if abs(s - ref) > abs(-s - ref):
         s = -s
     return s
 
 
+def _fixed_sqrt(x: int, y: int, s: int, bits: int):
+    """The principal sqrt of w = (x + iy)/2^s (Im >= 0 at y = 0) to a few 2^-bits,
+    as a pair scaled by 2^bits: the larger part isqrt((|w| + |Re w|)/2)."""
+    shift = 2 * bits - s
+    x, y = (x << shift, y << shift) if shift >= 0 else (x >> -shift, y >> -shift)
+    big = math.isqrt((math.isqrt(x * x + y * y) + abs(x)) >> 1)
+    small = abs(y) // (2 * big) if big else 0
+    return (big, small if y >= 0 else -small) if x >= 0 else (small, big if y >= 0 else -big)
+
+
+def _fixed_root(k, v, ref, bits: int):
+    """sqrt(k^2 - v) of exact k = (kx, ky, ks), v = (vx, vy, vs) over 2^bits,
+    on the side of the pair ``ref``: flipped when root . ref < 0."""
+    (kx, ky, ks), (vx, vy, vs) = k, v
+    s = max(2 * ks, vs)
+    re, im = _fixed_sqrt(((kx * kx - ky * ky) << s - 2 * ks) - (vx << s - vs),
+                         ((2 * kx * ky) << s - 2 * ks) - (vy << s - vs), s, bits)
+    return (-re, -im) if re * ref[0] + im * ref[1] < 0 else (re, im)
+
+
+def _newton(f_eval, z, refs, steep_scale: float, base: complex = 0.0):
+    """Undamped Newton with numerically differenced derivative on z, k =
+    base + z; stops at |F| <= SECULAR_TOL once the last step is below
+    STEP_TOL (1 + |k|).
+
+    ``f_eval(z, refs)`` returns (F, |F|, refs): the branch references are
+    carried from each evaluation into the next, z before z + h before z -
+    h.  The derivative step shrinks with the oscillation scale of the
+    secular function (resonances sit ~pi/steep_scale apart in k), so
+    probing never averages across neighbouring roots.
+    """
+    dk_last = 0.0
+    for _ in range(NEWTON_CAP):
+        try:
+            f_k, af, refs = f_eval(z, refs)
+            size = 1.0 + abs(base + z)
+            if af <= SECULAR_TOL and dk_last <= STEP_TOL * size:
+                return z, float(af)
+            h = size * min(1e-6, 0.3 / max(1.0, steep_scale))
+            f_plus, _, refs = f_eval(z + h, refs)
+            f_minus, _, refs = f_eval(z - h, refs)
+            deriv = (f_plus - f_minus) / (2.0 * h)
+        except (OverflowError, ZeroDivisionError, AccuracyError, PoleError) as exc:
+            raise NoConvergenceError("iteration left the evaluable region: %s"
+                                     % exc) from exc
+        if deriv == 0:
+            raise NoConvergenceError("zero numerical derivative")
+        step = -f_k / deriv
+        z = z + step
+        dk_last = abs(step)
+        if not math.isfinite(abs(base + z)):
+            raise NoConvergenceError("iterate diverged")
+    raise NoConvergenceError("newton cap %d exceeded" % NEWTON_CAP)
+
+
+def _solve(scale: float, f_double, f_fixed, k0: complex, refs):
+    """(k, |F|) by Newton from k0 at the bits of the phase ``scale``: in
+    double on k, ``f_double(k, refs)`` giving (F, |F|, refs); beyond
+    NATIVE_MAX on the offset delta from k0, k = ``OffsetK(k0, delta)``,
+    ``f_fixed(k0 + delta exactly, refs over 2^bits, bits)`` giving ((re,
+    im, den), refs), from which F and |F| are each rounded once."""
+    bits = specfun.solve_bits(scale)
+    if bits is None:
+        return _newton(f_double, k0, refs, scale)
+
+    def f_eval(delta, refs):
+        (re, im, den), refs = f_fixed(specfun._exact(k0, delta), refs, bits)
+        return specfun._rounded(re, im, den), specfun._abs_rounded(re, im, den), refs
+
+    delta, residual = _newton(f_eval, 0j, [specfun._fixed_pair(r, bits) for r in refs],
+                              scale, k0)
+    return OffsetK(k0, delta), residual
+
+
 # ---------------------------------------------------------------------------
 # secular equation for a single radial bump
 
-def _secular_eval(problem: SecularProblem, k, tau_ref, ops):
-    """F(k) and the tracked tau; F = k + i tau R(tau a) - i(d-3)/(2a)."""
-    tau = _branch_sqrt(k * k - ops.lift(problem.c), tau_ref, ops.sqrt)
-    order = problem.d / 2.0 - 1.0
-    ratio = ops.bessel_ratio(order, tau * problem.a)
+def _secular_eval(problem: SecularProblem, k: complex, refs):
+    """F(k), |F| and [tau] in double, tau tracked from refs = [tau_ref];
+    F = k + i tau R(tau a) - i(d-3)/(2a)."""
+    tau = _branch_sqrt(k * k - problem.c, refs[0])
+    ratio = specfun.bessel_j_ratio(problem.d / 2.0 - 1.0, tau * problem.a)
     f_val = k + 1j * tau * ratio - 1j * (problem.d - 3.0) / (2.0 * problem.a)
-    return f_val, tau
+    return f_val, abs(f_val), [tau]
+
+
+def _secular_fixed(problem: SecularProblem, k, refs, bits: int):
+    """``_secular_eval`` at the exact k = (kx, ky, ks) on ints, ((re, im, den),
+    [tau]) back: tau by ``_fixed_root``, R at the exact tau a by
+    ``bessel_ratio_mp`` at bits - FIXED_GUARD, F over 2^ks 2^bits den g_den."""
+    kx, ky, ks = k
+    tr, ti = _fixed_root(k, specfun._exact(problem.c), refs[0], bits)
+    a_num, a_den = problem.a.as_integer_ratio()
+    re, im, den = specfun.bessel_ratio_mp(problem.d / 2.0 - 1.0, tr * a_num, ti * a_num,
+                                          bits + a_den.bit_length() - 1,
+                                          bits - specfun.FIXED_GUARD)
+    g_num, g_den = ((problem.d - 3.0) / (2.0 * problem.a)).as_integer_ratio()
+    scale = den * g_den  # i tau R = (-(tr im + ti re) + i (tr re - ti im)) / (2^bits den)
+    return ((((kx * scale) << bits) - ((tr * im + ti * re) * g_den << ks),
+             ((ky * scale) << bits) + ((tr * re - ti * im) * g_den << ks)
+             - (g_num * den << bits + ks), scale << bits + ks), [(tr, ti)])
 
 
 def _secular_scale(problem: SecularProblem, k: complex) -> float:
@@ -149,45 +251,11 @@ def secular_residual(problem: SecularProblem, k: complex) -> complex:
     at r = a, i.e. when mu = k^2 is an eigenvalue.
     """
     k = complex(k)
-    with specfun.lane(_secular_scale(problem, k)) as ops:
-        f_val, _ = _secular_eval(problem, ops.lift(k), ops.lift(problem.branch_ref),
-                                 ops)
-        return complex(f_val)
-
-
-def _newton(f_eval, k0, ref, steep_scale: float):
-    """Damped-free Newton with numerically differenced derivative; stops at
-    |F| <= SECULAR_TOL once the last step is below STEP_TOL (1 + |k|).
-
-    ``f_eval(k, ref)`` returns (F, ref): the branch reference is carried
-    from each evaluation into the next, k before k + h before k - h.  The
-    derivative step shrinks with the oscillation scale of the secular
-    function (resonances sit ~pi/steep_scale apart in k), so probing never
-    averages across neighbouring roots.
-    """
-    k = k0
-    dk_last = 0.0
-    for _ in range(NEWTON_CAP):
-        try:
-            f_k, ref = f_eval(k, ref)
-            af = abs(f_k)
-            if af <= SECULAR_TOL and dk_last <= STEP_TOL * (1.0 + abs(complex(k))):
-                return k, float(af)
-            h = (1.0 + abs(complex(k))) * min(1e-6, 0.3 / max(1.0, steep_scale))
-            f_plus, ref = f_eval(k + h, ref)
-            f_minus, ref = f_eval(k - h, ref)
-            deriv = (f_plus - f_minus) / (2.0 * h)
-        except (OverflowError, ZeroDivisionError, AccuracyError, PoleError) as exc:
-            raise NoConvergenceError("iteration left the evaluable region: %s"
-                                     % exc) from exc
-        if deriv == 0:
-            raise NoConvergenceError("zero numerical derivative")
-        step = -f_k / deriv
-        k = k + step
-        dk_last = abs(complex(step))
-        if not math.isfinite(abs(complex(k))):
-            raise NoConvergenceError("iterate diverged")
-    raise NoConvergenceError("newton cap %d exceeded" % NEWTON_CAP)
+    bits = specfun.solve_bits(_secular_scale(problem, k))
+    if bits is None:
+        return _secular_eval(problem, k, [problem.branch_ref])[0]
+    ref = specfun._fixed_pair(problem.branch_ref, bits)
+    return specfun._rounded(*_secular_fixed(problem, specfun._exact(k), [ref], bits)[0])
 
 
 def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
@@ -208,16 +276,12 @@ def refine_eigen(problem: SecularProblem, k_seed: complex) -> EigenResult:
 
 
 def polish_root_mp(problem: SecularProblem, k_seed: complex):
-    """Newton on the secular function in the lane its phase needs.
-
-    Returns (k in lane arithmetic, residual): an mpmath.mpc for bumps whose
-    radius puts the Bessel argument beyond double phase resolution.
-    """
+    """Newton on the secular function at the bits its phase needs: (k,
+    residual), k an ``OffsetK`` where the Bessel argument lies beyond
+    double phase resolution."""
     k0 = complex(k_seed)
-    scale = _secular_scale(problem, k0)
-    with specfun.lane(scale) as ops:
-        return _newton(lambda k, ref: _secular_eval(problem, k, ref, ops),
-                       ops.lift(k0), ops.lift(problem.branch_ref), scale)
+    return _solve(_secular_scale(problem, k0), functools.partial(_secular_eval, problem),
+                  functools.partial(_secular_fixed, problem), k0, [problem.branch_ref])
 
 
 # ---------------------------------------------------------------------------
@@ -245,54 +309,37 @@ def _transfer_eval(potential: StepPotential1D, k, refs):
         fp = complex(-math.sin(potential.phi))
     new_refs = []
     for (length, value), ref in zip(_intervals(potential), refs):
-        kappa = _branch_sqrt(k * k - value, ref, cmath.sqrt)
+        kappa = _branch_sqrt(k * k - value, ref)
         new_refs.append(kappa)
         e2 = cmath.exp(2j * kappa * length)
         m11 = (1.0 + e2) / 2.0
         m12 = (e2 - 1.0) / (2j * kappa)
         m21 = (1j * kappa / 2.0) * (e2 - 1.0)
         f, fp = m11 * f + m12 * fp, m21 * f + m11 * fp
-    return f - fp / (1j * k), new_refs
+    f_val = f - fp / (1j * k)
+    return f_val, abs(f_val), new_refs
 
 
-def _fixed_sqrt(x: int, y: int, s: int, bits: int):
-    """The principal sqrt of w = (x + iy)/2^s (Im >= 0 at y = 0) to a few 2^-bits,
-    as a pair scaled by 2^bits: the larger part isqrt((|w| + |Re w|)/2)."""
-    shift = 2 * bits - s
-    x, y = (x << shift, y << shift) if shift >= 0 else (x >> -shift, y >> -shift)
-    big = math.isqrt((math.isqrt(x * x + y * y) + abs(x)) >> 1)
-    small = abs(y) // (2 * big) if big else 0
-    return (big, small if y >= 0 else -small) if x >= 0 else (small, big if y >= 0 else -big)
-
-
+@functools.lru_cache(maxsize=8)
 def _exact_intervals(potential: StepPotential1D):
-    """``_intervals`` on exact ints, once per solve: each value as (vx, vy, vs),
-    value = (vx + i vy)/2^vs, and twice each length as (lx, ls), 2L = lx/2^ls."""
-    out = []
-    for length, value in _intervals(potential):
-        lx, _, ls = specfun._exact(complex(2.0 * length))
-        out.append((specfun._exact(value), lx, ls))
-    return out
+    """``_intervals`` on exact ints, per potential: (_exact(value), _exact(2 L))."""
+    return tuple((specfun._exact(value), specfun._exact(complex(2.0 * length)))
+                 for length, value in _intervals(potential))
 
 
-def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int, intervals):
-    """The mp lane's ``_transfer_eval`` on ints scaled by 2^bits, a complex as an
-    (re, im) pair, k exact: kappa^2 exact, e^{2i kappa L} by libmp (OverflowError
-    past the double range, as cmath.exp), and F returned as an mpc.
-    ``intervals`` is ``_exact_intervals(potential)``."""
+def _transfer_fixed(potential: StepPotential1D, k, refs, bits: int):
+    """``_transfer_eval`` at the exact k = (kx, ky, ks) on (re, im) int pairs
+    over 2^bits: kappa by ``_fixed_root``, e^{2i kappa L} by libmp (OverflowError
+    past the double range, as cmath.exp); ((re, im, 2^bits), refs) back."""
+    kx, ky, ks = k
     one, mul = 1 << bits, functools.partial(specfun._fixed_mul, bits=bits)
-    kx, ky, ks = specfun._exact_mp(k)
     f, fp = (one, 0), ((ky << bits) >> ks, (-kx << bits) >> ks)
     if potential.boundary == "robin":
         f, fp = ((specfun._fixed(math.cos(potential.phi), bits), 0),
                  (specfun._fixed(-math.sin(potential.phi), bits), 0))
     new_refs = []
-    for ((vx, vy, vs), lx, ls), ref in zip(intervals, refs):
-        s = max(2 * ks, vs)
-        kr, ki = _fixed_sqrt(((kx * kx - ky * ky) << s - 2 * ks) - (vx << s - vs),
-                             ((2 * kx * ky) << s - 2 * ks) - (vy << s - vs), s, bits)
-        if kr * ref[0] + ki * ref[1] < 0:  # |kappa - ref| > |-kappa - ref|
-            kr, ki = -kr, -ki
+    for (value, (lx, _, ls)), ref in zip(_exact_intervals(potential), refs):
+        kr, ki = _fixed_root(k, value, ref, bits)
         new_refs.append((kr, ki))
         rate, e2 = -ki * lx / (1 << bits + ls), (0, 0)  # 2 kappa L = kappa lx / 2^ls
         if rate > -bits:  # else |e2| = e^rate < 2^-bits floors to 0
@@ -308,8 +355,7 @@ def _transfer_eval_mp(potential: StepPotential1D, k, refs, bits: int, intervals)
                  for u, v in ((m11, m12), (m21, m11))]
     norm = kx * kx + ky * ky  # F = f - fp/(ik), 1/(ik) = (-ky - i kx) 2^ks / |k|^2
     fp_ik = mul(fp, ((-ky << bits + ks) // norm, (-kx << bits + ks) // norm))
-    return mp.make_mpc(tuple(libmp.from_man_exp(a - b, -bits, bits - specfun.FIXED_GUARD, "n")
-                             for a, b in zip(f, fp_ik))), new_refs
+    return (f[0] - fp_ik[0], f[1] - fp_ik[1], one), new_refs
 
 
 def _phase_scale(potential: StepPotential1D, k_seed: complex) -> float:
@@ -324,28 +370,21 @@ def _phase_scale(potential: StepPotential1D, k_seed: complex) -> float:
 
 def transfer_eigen_1d(potential: StepPotential1D, k_seed: complex) -> EigenResult:
     """Newton-polish the transfer secular function from a seed wavenumber."""
-    k_mp, residual = _transfer_newton(potential, k_seed)
-    k = complex(k_mp)
+    k_root, residual = _transfer_newton(potential, k_seed)
+    k = complex(k_root)
     if k.imag <= 0.0:
         raise WrongSheetError("transfer root has Im k = %g <= 0" % k.imag)
     return eigen_result(k, residual, "transfer")
 
 
 def _transfer_newton(potential: StepPotential1D, k_seed: complex):
-    """Shared solver core; returns (k in lane arithmetic, residual)."""
+    """Shared solver core: (k, residual) of ``_solve``."""
     k_seed = complex(k_seed)
     if not k_seed.imag > 0.0:
         raise InvalidArgumentError("transfer seed needs Im k > 0")
-    scale = _phase_scale(potential, k_seed)
     refs = [specfun.upper_sqrt(k_seed * k_seed - v) for (_, v) in _intervals(potential)]
-    with specfun.lane(scale) as ops:
-        if not ops.mp:
-            return _newton(functools.partial(_transfer_eval, potential), k_seed, refs, scale)
-        bits = mp.prec + specfun.FIXED_GUARD
-        refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits)) for r in refs]
-        return _newton(functools.partial(_transfer_eval_mp, potential, bits=bits,
-                                         intervals=_exact_intervals(potential)),
-                       ops.lift(k_seed), refs, scale)
+    return _solve(_phase_scale(potential, k_seed), functools.partial(_transfer_eval, potential),
+                  functools.partial(_transfer_fixed, potential), k_seed, refs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,11 @@ ulp at any size, so ``bessel_j`` and ``bessel_j_ratio`` run in double
 precision at every |z|.  A phase formed from a product beyond ``|z| ~
 3e4`` (NATIVE_MAX) would lose more than the accuracy this library
 promises to its rounding, so beyond it the ratio runs on exact ints at
-the phase's precision (``phase_digits``): a bump's z = tau * a, a product
-of two doubles, in ``bessel_ratio_exact``, and an mpmath lane argument, an
-exact binary number, in ``bessel_ratio_mp``.  cos z and sin z then come
-from mpmath's integer layer (``libmp``); no mpmath number or working
-precision enters the kernel.  The transfer and secular solves pick their
-arithmetic through the package's one precision lane (``lane``), which
-sets mpmath to that same precision.
+the phase's precision (``phase_digits``, ``solve_bits``), its exact
+fraction left to the caller: at a bump's z = tau * a, a product of two
+doubles (``bessel_ratio_exact``), or at a solve's exact z
+(``bessel_ratio_mp``).  cos z and sin z then come from mpmath's integer
+layer (``libmp``); no mpmath number or working precision is involved.
 
 Every ratio J_{n-1}(z)/J_n(z) is the quotient of two forms sqrt(pi z/2) J
 on ints (``_ratio_fraction``), from Hankel's integer kernel
@@ -32,34 +30,24 @@ on ints (``_ratio_fraction``), from Hankel's integer kernel
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
-import mpmath
 from mpmath import libmp
 
 from .errors import AccuracyError, InvalidArgumentError, PoleError
 
-# largest phase a ``lane`` caller forms in double precision; above this
-# the phase error eps*scale of a rounded product would exceed ~1e-11
+# largest phase a solve forms in double precision; above this the phase
+# error eps*scale of a rounded product would exceed ~1e-11
 NATIVE_MAX = 3.0e4
 # largest |z| the ascending series takes: a value costs ~|z|^2, 0.16 s at 4096
 SERIES_MAX = 4096.0
 
-# mpmath's working precision is process-global; every extended-precision
-# block in the package takes this (reentrant) lock so the native double
-# lane stays freely concurrent
-MP_LOCK = threading.RLock()
-
 # libmp keeps pi and log 2 at the highest precision asked for so far and
 # grows them by two unlocked writes, which a concurrent reader can see half
-# done.  ``bessel_ratio_exact`` and the double lane's pole rule call libmp
-# without MP_LOCK, so both are filled here once beyond any precision the
-# package asks for: phase_digits of |z| < 2^1024, plus the magnitude bits
-# of the reduction mod pi/2.
+# done; so both are filled here once beyond any precision the package asks
+# for: phase_digits of |z| < 2^1024, plus the bits of the reduction mod pi/2.
 libmp.pi_fixed(4096)
 libmp.ln2_fixed(4096)
 
@@ -73,30 +61,6 @@ def upper_sqrt(w: complex) -> complex:
     return s
 
 
-class _Native:
-    """Double-precision arithmetic for phases up to NATIVE_MAX."""
-
-    mp = False
-    sqrt = staticmethod(cmath.sqrt)
-    lift = staticmethod(complex)
-
-    @staticmethod
-    def bessel_ratio(order, z):
-        return bessel_j_ratio(order, z)
-
-
-class _MP:
-    """mpmath arithmetic at the precision set by ``lane``."""
-
-    mp = True
-    sqrt = staticmethod(mpmath.sqrt)
-    lift = staticmethod(mpmath.mpc)
-
-    @staticmethod
-    def bessel_ratio(order, z):
-        return bessel_ratio_mp(order, z)
-
-
 def phase_digits(scale: float) -> int:
     """Decimal digits for a computation beyond NATIVE_MAX whose phase
     reaches ``scale`` radians: 30 + floor(log10(scale + 1)), so that a
@@ -105,22 +69,12 @@ def phase_digits(scale: float) -> int:
     return 30 + int(math.log10(scale + 1.0))
 
 
-@contextlib.contextmanager
-def lane(scale: float):
-    """Arithmetic for a computation whose phase reaches ``scale`` radians.
-
-    Up to NATIVE_MAX this yields the double-precision ops.  Beyond it
-    yields the mpmath ops, holding MP_LOCK with the working precision at
-    ``phase_digits(scale)``; a double argument alone is exact and needs no
-    lane.  Both carry ``sqrt``, ``lift`` (into the lane),
-    ``bessel_ratio`` and the flag ``mp``; ``complex`` takes a lane number
-    back to double.
-    """
+def solve_bits(scale: float) -> int | None:
+    """The bits of a solve whose phase reaches ``scale`` radians: None (in
+    double) up to NATIVE_MAX, else ``phase_digits`` plus FIXED_GUARD."""
     if scale <= NATIVE_MAX:
-        yield _Native
-        return
-    with MP_LOCK, mpmath.workdps(phase_digits(scale)):
-        yield _MP
+        return None
+    return libmp.dps_to_prec(phase_digits(scale)) + FIXED_GUARD
 
 
 @dataclass(frozen=True)
@@ -333,7 +287,7 @@ def _hankel_counts(orders, az: float, prec: int):
 # exactly, as (x + iy)/2^s.  cos z and sin z come in scaled alike: from
 # cmath for a double z (``_cos_sin``), from mpmath's integer layer
 # (``libmp``) at prec bits otherwise (``_exact_forms``).  A result is
-# rounded once, to a double (``_rounded``) or to prec bits.
+# rounded once to a double (``_rounded``), or left exact for the caller.
 # Products are truncated to 2^-bits, so every value carries an absolute
 # error of a few 2^-bits against pairs (cos z, sin z; P ~ 1) of size one
 # or more.  The smallest form the ratio divides by is its pole threshold,
@@ -354,28 +308,30 @@ def _rounded(re: int, im: int, den: int) -> complex:
     return complex(re / den, im / den)
 
 
-def _exact(z: complex):
-    """A complex as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
-    s = max(v.as_integer_ratio()[1] for v in (z.real, z.imag)).bit_length() - 1
-    return _fixed(z.real, s), _fixed(z.imag, s), s
+def _exact(*terms: complex):
+    """A complex, or the sum of several, as ints (x, y, s) with the sum =
+    (x + iy) / 2^s exactly."""
+    s = max(v.as_integer_ratio()[1] for z in terms for v in (z.real, z.imag)).bit_length() - 1
+    return sum(_fixed(z.real, s) for z in terms), sum(_fixed(z.imag, s) for z in terms), s
 
 
-def _exact_mp(z):
-    """A finite mpc as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
-    s = max(0, *(-exp for _, _, exp, _ in z._mpc_))
-    return (*((-1) ** sign * int(man) << exp + s for sign, man, exp, _ in z._mpc_), s)
+def _abs_rounded(re: int, im: int, den: int) -> float:
+    """|re + i im| / den, den > 0, rounded once: the integer square root
+    keeps 64 bits or more, and a sticky bit marks it inexact."""
+    norm = re * re + im * im
+    shift = max(0, den.bit_length() - norm.bit_length() // 2 + 64)
+    q, r = divmod(norm << 2 * shift, den * den)
+    root = math.isqrt(q)
+    return math.ldexp(float(2 * root + bool(r or root * root != q)), -shift - 1)
 
 
 def _dist_squares(k1, k2) -> float:
-    """|k1^2 - k2^2| of two wavenumbers, each a complex or an mpc, formed
-    exactly on ints and rounded once."""
-    (x1, y1, s1), (x2, y2, s2) = (_exact(k) if isinstance(k, complex) else _exact_mp(k)
-                                  for k in (k1, k2))
-    s = max(s1, s2)
-    x1, y1, x2, y2 = x1 << s - s1, y1 << s - s1, x2 << s - s2, y2 << s - s2
-    re, im = x1 * x1 - y1 * y1 - x2 * x2 + y2 * y2, 2 * (x1 * y1 - x2 * y2)
-    return libmp.to_float(libmp.mpf_sqrt(libmp.from_man_exp(re * re + im * im, -4 * s),
-                                         53, "n"))
+    """|k1^2 - k2^2| of two wavenumbers, each a complex or a solve's exact
+    (seed, offset) pair, as (k1 - k2)(k1 + k2) on exact ints, rounded once."""
+    p1, p2 = ((k,) if isinstance(k, complex) else tuple(k) for k in (k1, k2))
+    dx, dy, s = _exact(*p1, *(-v for v in p2))
+    sx, sy, _ = _exact(*p1, *p2)
+    return _abs_rounded(dx * sx - dy * sy, dx * sy + dy * sx, 1 << 2 * s)
 
 
 def _double_range(z: complex) -> None:
@@ -391,9 +347,9 @@ def _cos_sin(z: complex):
     return [_fixed_pair(cmath.cos(z)), _fixed_pair(cmath.sin(z))]
 
 
-def _fixed_pair(v: complex):
-    """A double complex as a pair scaled by 2^DOUBLE_BITS."""
-    return _fixed(v.real, DOUBLE_BITS), _fixed(v.imag, DOUBLE_BITS)
+def _fixed_pair(v: complex, bits: int = DOUBLE_BITS):
+    """A double complex as a pair scaled by 2^bits."""
+    return _fixed(v.real, bits), _fixed(v.imag, bits)
 
 
 def _fixed_mul(a, b, bits: int):
@@ -502,29 +458,18 @@ def bessel_j_ratio(order: float, z: complex) -> complex:
     return _ratio(order, z)
 
 
-def bessel_ratio_mp(order: float, z) -> "mpmath.mpc":
-    """J_{order-1}(z)/J_order(z) at mpmath's working precision: the mpmath
-    lane's entry.  An mpc is an exact binary number (x + iy)/2^s, so it
-    takes ``bessel_ratio_exact``'s integer path at that precision, and the
-    exact fraction is rounded once back to an mpc.  InvalidArgumentError
-    for a non-finite or zero z.
-    """
-    z = mpmath.mpc(z)
-    _check(order, complex(z))
-    prec = mpmath.mp.prec
-    re, im, den = _ratio_fraction(order, *_exact_mp(z), prec, _exact_forms)
-    return mpmath.mp.make_mpc(tuple(libmp.from_rational(v, den, prec, "n") for v in (re, im)))
+def bessel_ratio_mp(order: float, x: int, y: int, s: int, prec: int):
+    """J_{order-1}(z)/J_order(z) at the exact z = (x + iy)/2^s beyond
+    NATIVE_MAX, the extended solves' entry: ints (re, im, den), the ratio
+    (re + i im)/den exactly, by Hankel's integer kernel at prec bits."""
+    _check(order, 0j)  # an exact z is finite
+    return _ratio_fraction(order, x, y, s, prec, _exact_forms)
 
 
 def bessel_ratio_exact(order: float, tau: complex, a: float):
-    """J_{order-1}(z)/J_order(z) at the exact product z = tau a of two
-    doubles, |z| beyond NATIVE_MAX, as ints (re, im, den): the ratio is
-    (re + i im)/den exactly, for the caller to round once.
-
-    z is (x + iy)/2^s on ints, and the forms (``_exact_forms``) run at
-    ``phase_digits(|tau a|)`` digits, the mpmath lane's precision; no
-    mpmath object, working precision or MP_LOCK is involved.
-    """
+    """``bessel_ratio_mp``'s kernel, for the design, at the exact product z =
+    tau a of two doubles beyond NATIVE_MAX and ``phase_digits(|tau a|)``
+    digits: ints (re, im, den), the ratio (re + i im)/den exactly."""
     _check(order, complex(tau) * a)
     x, y, s = _exact(tau)
     num, den = a.as_integer_ratio()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eigenbump import bump as bumpmod
+from eigenbump import specfun
 from eigenbump.errors import AccuracyError, PoleError
 
 
@@ -104,3 +105,25 @@ def reference_ratio(order, z):
         slope = prev - (order / z) * cur
         raise PoleError("reference pole", distance=float(abs(cur / slope)))
     return prev / cur
+
+
+def exact_mpc(z):
+    """A finite mpc as ints (x, y, s) with z = (x + iy) / 2^s exactly."""
+    s = max(0, *(-exp for _, _, exp, _ in z._mpc_))
+    return (*((-1) ** sign * int(man) << exp + s for sign, man, exp, _ in z._mpc_), s)
+
+
+def ratio_mp(order, z):
+    """``specfun.bessel_ratio_mp`` at an mpc z, which is exact, and at
+    mpmath's working precision, its exact fraction rounded to an mpc at
+    that precision."""
+    prec = mpmath.mp.prec
+    re, im, den = specfun.bessel_ratio_mp(order, *exact_mpc(mpmath.mpc(z)), prec)
+    return mpmath.mp.make_mpc(tuple(mpmath.libmp.from_rational(v, den, prec, "n")
+                                    for v in (re, im)))
+
+
+def mpc_of(k):
+    """A wavenumber, a complex or an exact (seed, offset) pair, as an mpc
+    at the working precision (exact where it holds the sum)."""
+    return sum(map(mpmath.mpc, k)) if isinstance(k, tuple) else mpmath.mpc(k)

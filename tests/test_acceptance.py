@@ -20,6 +20,8 @@ from eigenbump.bump import design_bump, norm_inf, norm_p
 from eigenbump.construct import Target, build
 from eigenbump.specfun import BesselQuery, bessel_j
 
+from conftest import mpc_of
+
 
 @contextlib.contextmanager
 def criterion(number, description):
@@ -234,7 +236,7 @@ def _attack_entry(entries, entry, domain, phi):
     k_base, _ = eigensolve._transfer_newton(base_pot, seed)
     k_pert, _ = eigensolve._transfer_newton(pert_pot, seed)
     with mpmath.workdps(50):
-        moved = float(abs(mpmath.mpc(k_pert) ** 2 - mpmath.mpc(k_base) ** 2))
+        moved = float(abs(mpc_of(k_pert) ** 2 - mpc_of(k_base) ** 2))
     anchor = abs(complex(k_base) ** 2 - entry.mu_n)
     return moved, anchor
 

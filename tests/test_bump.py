@@ -174,12 +174,12 @@ class TestBoundaryWavenumber:
 
 
 def lane_boundary_wavenumber(d, tau, a):
-    """boundary_wavenumber as the mpmath lane computed it beyond
-    NATIVE_MAX: tau a rounded at the lane's precision, the ratio in mpc
+    """boundary_wavenumber as mpmath arithmetic computed it beyond
+    NATIVE_MAX: tau a rounded at the phase's precision, the ratio in mpc
     arithmetic as it ran before the integer kernel (``reference_ratio``),
     and k in mpc arithmetic with the double (d - 3)/(2a)."""
-    with specfun.lane(abs(tau * a)) as ops:
-        assert ops.mp
+    assert abs(tau * a) > specfun.NATIVE_MAX
+    with mpmath.workdps(specfun.phase_digits(abs(tau * a))):
         tau_l = mpmath.mpc(tau)
         ratio = reference_ratio(d / 2.0 - 1.0, tau_l * a)
         return complex(-1j * tau_l * ratio + 1j * (d - 3.0) / (2.0 * a))
@@ -408,9 +408,10 @@ class TestScreen:
                 assert (design_outcome(*args, m_cap=m_cap)
                         == reference_design(*args, m_cap=m_cap))
 
-    def test_norm_p_overflow_is_left_to_the_probe(self):
-        # |c|^p a^d leaves the double range at the floor of the first probes;
-        # the screen's norm, formed in logs, keeps the unscreened design
+    def test_large_p_design_matches_unscreened_design(self):
+        # |c|^p a^d would leave the double range at the floor of the first
+        # probes; the screen's norm, formed in logs, decides them, and the
+        # design is the unscreened one
         args = (1, 200.0, 100.0, 1.0, 1000.0, 0.5)
         assert design_outcome(*args) == reference_design(*args)
 

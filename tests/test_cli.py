@@ -458,11 +458,33 @@ def _inf_k(doc):
     return json.dumps(doc)
 
 
+def _set(name, *path_value):
+    """The corruption ``name``: doc[path...] = value for each (*path, value)."""
+    def corrupt(doc):
+        for *path, value in path_value:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        return json.dumps(doc)
+    corrupt.__name__ = name
+    return corrupt
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
-@pytest.mark.parametrize("corrupt", [_not_json, _set_bump_a,
-                                     _set_zero_denominator, _set_version,
-                                     _set_phi, _drop_lambda, _zero_bump_a,
-                                     _nan_t, _inf_k])
+@pytest.mark.parametrize("corrupt", [
+    _not_json, _set_bump_a, _set_zero_denominator, _set_version, _set_phi,
+    _drop_lambda, _zero_bump_a, _nan_t, _inf_k,
+    # integers are JSON integers, and phi fits the domain
+    _set("_float_dim", ("config", "dim", 1.5)),
+    _set("_bool_dim", ("config", "dim", True)),
+    _set("_float_q", ("entries", 0, "q", [1.5, 1])),
+    _set("_string_n", ("entries", 0, "n", "1")),
+    _set("_string_failed_at", ("failed_at", "x")),
+    _set("_unknown_domain", ("config", "domain", "banana")),
+    _set("_robin_null_phi", ("config", "domain", "robin"), ("config", "phi", None)),
+    _set("_whole_with_phi", ("config", "phi", 0.5)),
+    _set("_robin_phi_beyond_pi", ("config", "domain", "robin"), ("config", "phi", 4.0))])
 def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
                                              tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -489,21 +511,32 @@ def test_non_finite_number_fails_grid_verify_cleanly(corrupt, ledger_file,
 
 
 def test_precision_is_set_by_the_lane_alone(tmp_path, monkeypatch, capsys):
-    # one precision rule: every change of mpmath's working precision during
-    # a seed-0 desk-whole build and its transfer verify is specfun.lane's
-    callers = []
+    # no process-global precision at all: a seed-0 desk-whole build and its
+    # transfer verify run every extended-precision kernel on ints, so
+    # mpmath's working precision is neither entered nor set
+    calls = []
+
+    def record(name, real):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return spy
     for name in ("workdps", "workprec"):
-        def spy(*args, _real=getattr(mpmath, name), **kwargs):
-            frame = sys._getframe(1)
-            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(mpmath, name, spy)
+        monkeypatch.setattr(mpmath, name, record(name, getattr(mpmath, name)))
+    context = type(mpmath.mp)
+    for name in ("prec", "dps"):
+        prop = getattr(context, name)
+        monkeypatch.setattr(context, name,
+                            property(prop.fget, record("mp." + name, prop.fset)))
+    mpmath.mp.dps = mpmath.mp.dps  # the spies see a setter call
+    assert calls == ["mp.dps"]
+    calls.clear()
     path = str(tmp_path / "desk.json")
     assert run(["construct", "--dim", "1", "--p", "1.5", "--budget", "1",
                 "--steps", "5", "--out", path]) == 0
     assert run(["verify", "--ledger", path, "--oracle", "transfer"]) == 0
     capsys.readouterr()
-    assert callers and set(callers) == {("eigenbump.specfun", "lane")}
+    assert calls == []
 
 
 class TestDeterminismAndRoundTrip:

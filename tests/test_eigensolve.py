@@ -22,6 +22,8 @@ from eigenbump.errors import (GridResolutionError, InvalidArgumentError,
                               NoConvergenceError, SingularShiftError,
                               WrongSheetError)
 
+from conftest import exact_mpc
+
 
 def problem_for(params):
     return SecularProblem(d=params.d, c=params.c, a=params.a,
@@ -143,7 +145,7 @@ class TestTransfer:
                               complex(1.0, -0.2))
 
     def test_extended_precision_lane_matches_native(self, moderate_bump):
-        # same physical problem, pushed into the mp lane by a distant shift
+        # same physical problem, pushed beyond NATIVE_MAX by a distant shift
         native = transfer_eigen_1d(single_bump_potential(moderate_bump, 0.0),
                                    moderate_bump.k)
         far = transfer_eigen_1d(single_bump_potential(moderate_bump, 2.0e5),
@@ -154,7 +156,7 @@ class TestTransfer:
 @pytest.fixture(scope="module")
 def desk_potentials():
     """(potential, entry seeds) of the 5-step desk whole-line run and of a
-    3-step Robin run at phi = 0.5: every transfer solve in the mp lane."""
+    3-step Robin run at phi = 0.5: every transfer solve beyond NATIVE_MAX."""
     out = []
     for kwargs in ({"steps": 5}, {"steps": 3, "domain": "robin", "phi": 0.5}):
         ledger = construct.build(1, 1.5, 1.0, **kwargs)
@@ -185,17 +187,16 @@ def reference_transfer(potential, k):
 
 
 def mp_lane_eval(potential, k):
-    """The mp lane's recursion at k with the solver's own refs and bits:
-    (F, bits)."""
-    with specfun.lane(eigensolve._phase_scale(potential, k)) as ops:
-        assert ops.mp
-        bits = mpmath.mp.prec + specfun.FIXED_GUARD
-        refs = [(specfun._fixed(r.real, bits), specfun._fixed(r.imag, bits))
-                for r in (specfun.upper_sqrt(k * k - v)
-                          for _, v in eigensolve._intervals(potential))]
-        value, _ = eigensolve._transfer_eval_mp(potential, mpmath.mpc(k), refs, bits,
-                                                eigensolve._exact_intervals(potential))
-        return value, bits
+    """The extended lane's recursion at k with the solver's own refs and
+    bits: (F as an exact mpc, |F| as the solver rounds it, bits)."""
+    bits = specfun.solve_bits(eigensolve._phase_scale(potential, k))
+    assert bits is not None
+    refs = [specfun._fixed_pair(specfun.upper_sqrt(k * k - v), bits)
+            for _, v in eigensolve._intervals(potential)]
+    (re, im, den), _ = eigensolve._transfer_fixed(potential, specfun._exact(k), refs, bits)
+    with mpmath.workprec(max(re.bit_length(), im.bit_length(), 53)):
+        value = mpmath.mpc(re, im) / den  # den = 2^bits: exact
+    return value, specfun._abs_rounded(re, im, den), bits
 
 
 class TestFixedTransfer:
@@ -203,7 +204,7 @@ class TestFixedTransfer:
 
     def fixed_sqrt(self, w):
         """_fixed_sqrt of the exact mpc w as an mpc, and mpmath.sqrt at 200 bits."""
-        x, y, s = specfun._exact_mp(w)
+        x, y, s = exact_mpc(w)
         re, im = eigensolve._fixed_sqrt(x, y, s, self.BITS)
         with mpmath.workprec(self.BITS):
             want = mpmath.sqrt(w)
@@ -229,63 +230,64 @@ class TestFixedTransfer:
 
     def test_reference_on_other_sheet_flips_kappa(self):
         pot = StepPotential1D((0.0, 1e5), (0.5,))
-        k = mpmath.mpc(1.0, 1e-9)
-        upper = specfun.upper_sqrt(complex(k) ** 2 - 0.5)
+        k = specfun._exact(complex(1.0, 1e-9))
+        upper = specfun.upper_sqrt(complex(1.0, 1e-9) ** 2 - 0.5)
         bits = self.BITS
         ref = (specfun._fixed(upper.real, bits), specfun._fixed(upper.imag, bits))
-        exact = eigensolve._exact_intervals(pot)
-        _, (kappa,) = eigensolve._transfer_eval_mp(pot, k, [ref], bits, exact)
-        _, (flipped,) = eigensolve._transfer_eval_mp(pot, k, [(-ref[0], -ref[1])], bits, exact)
+        _, (kappa,) = eigensolve._transfer_fixed(pot, k, [ref], bits)
+        _, (flipped,) = eigensolve._transfer_fixed(pot, k, [(-ref[0], -ref[1])], bits)
         assert kappa[1] > 0 and flipped == (-kappa[0], -kappa[1])
 
     def test_matches_100_digit_recursion(self, desk_potentials):
-        # the recursion runs on 2^-bits, bits = the lane's precision +
+        # the recursion runs on 2^-bits, bits = the phase's precision +
         # FIXED_GUARD, from |f| <= 1 through step matrices of entries near
-        # one: a few 2^-bits per interval, and F rounded once to the lane's
-        # precision.  F is small at these roots, so a bound relative to |F|
-        # alone would leave the last digits unchecked.
+        # one: a few 2^-bits per interval, and F exact on those ints, within
+        # the precision's rounding of the bound.  F is small at these roots,
+        # so a bound relative to |F| alone would leave the last digits
+        # unchecked.  |F| is rounded once from the ints.
         for pot, seeds in desk_potentials:
             steps = len(eigensolve._intervals(pot))
             for k in seeds:
-                got, bits = mp_lane_eval(pot, k)
+                got, residual, bits = mp_lane_eval(pot, k)
                 want = reference_transfer(pot, k)
                 with mpmath.workdps(100):
                     tol = (steps * mpmath.ldexp(1, 8 - bits)
                            + abs(want) * mpmath.ldexp(1, specfun.FIXED_GUARD - bits))
                     assert abs(got - want) <= tol
-                assert float(abs(got)) == float(abs(want))
+                assert residual == float(abs(want))
 
     def test_zero_kappa_and_zero_k_divide_by_zero(self):
         pot = StepPotential1D((0.0, 1.0), (4.0,))
-        exact = eigensolve._exact_intervals(pot)
         with pytest.raises(ZeroDivisionError):  # kappa^2 = k^2 - 4 = 0
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(2), [(1, 0)], self.BITS, exact)
+            eigensolve._transfer_fixed(pot, specfun._exact(2 + 0j), [(1, 0)], self.BITS)
         with pytest.raises(ZeroDivisionError):  # F divides by k
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0), [(0, 1)], self.BITS, exact)
+            eigensolve._transfer_fixed(pot, specfun._exact(0j), [(0, 1)], self.BITS)
 
     def test_growth_beyond_double_range_overflows(self):
         # a reference on the growing sheet: e^{2 i kappa L} leaves the
         # double range, as cmath.exp would in the native lane
         pot = StepPotential1D((0.0, 1e6), (1.0,))
         with pytest.raises(OverflowError):
-            eigensolve._transfer_eval_mp(pot, mpmath.mpc(0, 1), [(0, -1)], self.BITS,
-                                         eigensolve._exact_intervals(pot))
+            eigensolve._transfer_fixed(pot, specfun._exact(1j), [(0, -1)], self.BITS)
 
     def test_solves_build_no_mpmath_functions(self, desk_potentials, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mpmath function in the transfer recursion")
-        for name in ("sqrt", "exp", "cos_sin", "expj"):
+        for name in ("sqrt", "exp", "cos_sin", "expj", "mpc", "mpf", "workdps", "workprec"):
             monkeypatch.setattr(mpmath, name, refuse)
         pot, seeds = desk_potentials[0]
         k, _ = eigensolve._transfer_newton(pot, seeds[-1] * (1.0 + 1e-9))
-        assert isinstance(k, mpmath.mpc)
+        assert isinstance(k, eigensolve.OffsetK)
 
     def test_lane_label_follows_phase(self, desk_potentials, moderate_bump):
-        # bench/run.py labels transfer_newton.{native,mp} by k's type
+        # bench/run.py labels transfer_newton.{native,mp} by k's type: a
+        # complex, or beyond NATIVE_MAX the exact (seed, offset) pair, which
+        # is not one
         pot, seeds = desk_potentials[0]
         for k_seed in seeds:
             k, residual = eigensolve._transfer_newton(pot, k_seed)
-            assert isinstance(k, mpmath.mpc) and residual <= 1e-10
+            assert type(k) is eigensolve.OffsetK and not isinstance(k, complex)
+            assert k.seed == k_seed and residual <= 1e-10
         k, _ = eigensolve._transfer_newton(single_bump_potential(moderate_bump),
                                            moderate_bump.k)
         assert type(k) is complex

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import mpmath
@@ -16,12 +15,13 @@ import pytest
 from eigenbump import specfun
 from eigenbump.bump import (boundary_wavenumber, eigenfunction_eval, radius_for_index,
                            solve_eta)
-from eigenbump.construct import build, enumerate_targets
-from eigenbump.eigensolve import SecularProblem, secular_residual
+from eigenbump.construct import build, enumerate_targets, step_potential
+from eigenbump.eigensolve import (OffsetK, SecularProblem, _transfer_newton,
+                                  polish_root_mp, secular_residual)
 from eigenbump.errors import AccuracyError, InvalidArgumentError, PoleError
 from eigenbump.specfun import BesselQuery, bessel_j, bessel_j_ratio, gamma_real
 
-from conftest import reference_pair, reference_ratio
+from conftest import exact_mpc, mpc_of, ratio_mp, reference_pair, reference_ratio
 
 ORDERS = [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0]
 
@@ -87,42 +87,16 @@ class TestExamples:
                 assert gamma_real(float(x)) == pytest.approx(want, rel=1e-12)
 
 
-def run_while_mp_lock_held(evaluate):
-    """evaluate() on a worker thread while another thread holds MP_LOCK;
-    fails unless it returns within the join timeout."""
-    held, release, results = threading.Event(), threading.Event(), []
-
-    def hold():
-        with specfun.MP_LOCK:
-            held.set()
-            release.wait(60.0)
-
-    holder = threading.Thread(target=hold)
-    worker = threading.Thread(target=lambda: results.append(evaluate()), daemon=True)
-    holder.start()
-    try:
-        assert held.wait(10.0)
-        worker.start()
-        worker.join(10.0)
-        assert not worker.is_alive()
-    finally:
-        release.set()
-        holder.join()
-    return results[0]
-
-
 class TestLane:
     def test_native_up_to_threshold_mp_beyond(self):
-        with specfun.lane(specfun.NATIVE_MAX) as ops:
-            assert not ops.mp
-        with specfun.lane(specfun.NATIVE_MAX * (1.0 + 1e-15)) as ops:
-            assert ops.mp
+        assert specfun.solve_bits(specfun.NATIVE_MAX) is None
+        assert specfun.solve_bits(specfun.NATIVE_MAX * (1.0 + 1e-15)) is not None
 
-    def test_precision_scales_with_phase_and_is_restored(self):
-        before = mpmath.mp.dps
-        with specfun.lane(1e17) as ops:
-            assert ops.mp and mpmath.mp.dps == 47
-        assert mpmath.mp.dps == before
+    def test_bits_scale_with_phase(self):
+        # 30 + floor(log10(scale + 1)) digits plus the guard bits
+        assert specfun.phase_digits(1e17) == 47
+        assert specfun.solve_bits(1e17) == mpmath.libmp.dps_to_prec(47) + specfun.FIXED_GUARD
+        assert specfun.solve_bits(3.1e4) == mpmath.libmp.dps_to_prec(34) + specfun.FIXED_GUARD
 
     @pytest.mark.parametrize("order", [0.5, 1.0])
     def test_double_lane_ignores_mpmath_precision(self, order):
@@ -131,27 +105,6 @@ class TestLane:
         for prec in (20, 300):
             with mpmath.workprec(prec):
                 assert (bessel_j_ratio(order, z), bessel_j(BesselQuery(order, z))) == want
-
-    def test_double_argument_beyond_native_max_takes_no_lock(self):
-        # a double argument is exact, so it needs neither the mpmath lane
-        # nor its lock
-        z = complex(1e6, 1.0)
-        results = run_while_mp_lock_held(lambda: [bessel_j(BesselQuery(0.5, z)),
-                                                  bessel_j_ratio(0.5, z)])
-        assert results[0] == pytest.approx(mp_j(0.5, z), rel=1e-13)
-        assert results[1] == pytest.approx(mp_j(-0.5, z) / mp_j(0.5, z), rel=1e-13)
-
-    def test_boundary_wavenumber_beyond_native_max_takes_no_lock(self):
-        # a desk bump's tau a is formed exactly on ints, so its boundary
-        # wavenumber needs no mpmath working precision either
-        args = []
-        for d in (1, 2):
-            a = radius_for_index(d, 1.0, 10 ** 6)
-            args.append((d, complex(1.0, solve_eta(1.0, a)), a))
-        assert all(abs(tau * a) > specfun.NATIVE_MAX for _, tau, a in args)
-        results = run_while_mp_lock_held(
-            lambda: [boundary_wavenumber(*arg) for arg in args])
-        assert results == [boundary_wavenumber(*arg) for arg in args]
 
     def test_upper_sqrt_picks_decaying_root(self):
         assert specfun.upper_sqrt(complex(-4.0, -0.0)) == 2j
@@ -207,11 +160,10 @@ class TestRatio:
     def test_mp_half_integer_matches_besselj(self, order, r):
         # the elementary ratio against the besselj pair, at the lane's
         # precision and an imaginary part like a desk bump's eta * a
-        with specfun.lane(r) as ops:
-            assert ops.mp
+        with mpmath.workdps(specfun.phase_digits(r)):
             z = mpmath.mpc(r, 12.5)
             want = mpmath.besselj(order - 1.0, z) / mpmath.besselj(order, z)
-            got = specfun.bessel_ratio_mp(order, z)
+            got = ratio_mp(order, z)
             assert abs(got - want) <= 1e-30 * abs(want)
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
@@ -220,11 +172,10 @@ class TestRatio:
     def test_mp_integer_order_matches_besselj(self, order, re, im):
         # Hankel's expansion against the besselj pair at the lane's
         # precision, for the orders of d = 2, 4 and 6
-        with specfun.lane(abs(re)) as ops:
-            assert ops.mp
+        with mpmath.workdps(specfun.phase_digits(abs(re))):
             z = mpmath.mpc(re, im)
             want = mpmath.besselj(order - 1.0, z) / mpmath.besselj(order, z)
-            got = specfun.bessel_ratio_mp(order, z)
+            got = ratio_mp(order, z)
             assert abs(got - want) <= 1e-30 * abs(want)
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
@@ -243,7 +194,7 @@ class TestRatio:
         # of the hand-off
         native = specfun._ratio(order, z)
         with mpmath.workdps(35):
-            extended = complex(specfun.bessel_ratio_mp(order, mpmath.mpc(z)))
+            extended = complex(ratio_mp(order, z))
         assert native == pytest.approx(extended, rel=1e-15)
         assert bessel_j_ratio(order, z) == pytest.approx(extended, rel=1e-15)
 
@@ -260,10 +211,9 @@ class TestRatio:
 
     def test_mp_pole_detected(self):
         # sin z vanishes to the lane's precision at z = pi * 1e5
-        with specfun.lane(math.pi * 1e5) as ops:
-            assert ops.mp
+        with mpmath.workdps(specfun.phase_digits(math.pi * 1e5)):
             with pytest.raises(PoleError) as err:
-                specfun.bessel_ratio_mp(0.5, mpmath.mpc(mpmath.pi * 10 ** 5))
+                ratio_mp(0.5, mpmath.pi * 10 ** 5)
         assert err.value.distance < 1e-20
 
     def test_pole_detected(self):
@@ -374,7 +324,7 @@ class TestIntegerKernel:
             for r in (3.1e4, 1e6, 1e10, 1e17):
                 for im in (0.5, 12.5, 25.0):
                     for z in (mpmath.mpc(r, im), mpmath.mpc(-r, im)):
-                        got = specfun.bessel_ratio_mp(order, z)
+                        got = ratio_mp(order, z)
                         want = reference_ratio(order, z)
                         assert complex(got) == complex(want)
                         assert abs(got - want) <= 10.0 ** (3 - dps) * abs(want)
@@ -385,8 +335,7 @@ class TestIntegerKernel:
         # z at factor times the distance from a zero of J_order at which
         # |J_order| meets the threshold: 0.5 and 2 are decided in mpmath,
         # 0.1 and 10 on the integers' logarithm
-        with specfun.lane(1e5) as ops:
-            assert ops.mp
+        with mpmath.workdps(specfun.phase_digits(1e5)):
             zero = mpmath.mpc(31831 * mpmath.pi)
             if order == 0.0:
                 zero -= mpmath.pi / 4
@@ -397,7 +346,7 @@ class TestIntegerKernel:
             assert abs(cur) < 1e-30
             slope = prev - (order / zero) * cur
             z = zero + factor * 1e-12 / abs(slope)
-            kernel = ratio_outcome(specfun.bessel_ratio_mp, order, z)
+            kernel = ratio_outcome(ratio_mp, order, z)
             reference = ratio_outcome(reference_ratio, order, z)
         assert kernel[0] == reference[0] == ("pole" if factor < 1.0 else "value")
         if kernel[0] == "pole":
@@ -409,9 +358,9 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("nu", [0.5, 1.0, math.sqrt(257.0 / 512.0)])
     def test_mp_lane_is_the_exact_product_path(self, d, nu):
-        # an mpc holding a bump's tau a, exact at the lane's precision (at
-        # least 113 bits against the product's 106), gives the exact
-        # path's fraction rounded at that precision, bit for bit
+        # an mpc holding a bump's tau a, exact at the phase's precision (at
+        # least 113 bits against the product's 106), read as ints, gives
+        # the exact-product path's fraction, int for int
         order = d / 2.0 - 1.0
         for m in [mant * 10 ** e for e in range(4, 19) for mant in (1, 3)]:
             if m > 10 ** 18:
@@ -419,12 +368,9 @@ class TestIntegerKernel:
             a = radius_for_index(d, nu, m)
             tau = complex(nu, solve_eta(nu, a))
             with mpmath.workdps(specfun.phase_digits(abs(tau * a))):
-                prec = mpmath.mp.prec
-                z = mpmath.mpc(tau) * a
-                got = specfun.bessel_ratio_mp(order, z)
-                re, im, den = specfun.bessel_ratio_exact(order, tau, a)
-                assert got._mpc_ == (mpmath.libmp.from_rational(re, den, prec, "n"),
-                                     mpmath.libmp.from_rational(im, den, prec, "n"))
+                z = exact_mpc(mpmath.mpc(tau) * a)
+                got = specfun.bessel_ratio_mp(order, *z, mpmath.mp.prec)
+                assert got == specfun.bessel_ratio_exact(order, tau, a)
 
     def test_mp_lane_builds_no_mpmath_objects(self, monkeypatch):
         # cos z and sin z, the pole rule and the rounding all run on ints
@@ -436,23 +382,24 @@ class TestIntegerKernel:
         with mpmath.workdps(40):
             for order in (0.0, 0.5, 1.0):
                 for z in (mpmath.mpc(1e6, 12.5), mpmath.mpc(-1e17, 0.5)):
-                    assert mpmath.isfinite(specfun.bessel_ratio_mp(order, z))
+                    assert mpmath.isfinite(ratio_mp(order, z))
             with pytest.raises(PoleError):
-                specfun.bessel_ratio_mp(0.5, mpmath.mpc(mpmath.pi * 10 ** 5))
+                ratio_mp(0.5, mpmath.pi * 10 ** 5)
 
     def test_dist_squares_rounds_the_exact_modulus_once(self, rng):
-        # |k1^2 - k2^2| for doubles and lane mpcs from 1e-3 to 1e17, with
-        # gaps down to 1e-40 |k| and none; 5000 bits leave one rounding
+        # |k1^2 - k2^2| for doubles and (seed, offset) pairs from 1e-3 to
+        # 1e17, with gaps down to 1e-40 |k| and none, and offsets far below
+        # an ulp of the seed; 5000 bits leave one rounding
         for _ in range(200):
             k1 = complex(rng.uniform(0.1, 3.0) * 10.0 ** rng.integers(-3, 18),
                          rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(-20, 1))
             gap = complex(*rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.integers(-40, 1)
-            with mpmath.workdps(int(rng.integers(30, 50))):
-                for pair in ((k1, k1 + gap * abs(k1)), (k1, k1),
-                             (mpmath.mpc(k1) * (1 + mpmath.mpf(2) ** -120), k1)):
-                    with mpmath.workprec(5000):
-                        want = float(abs(mpmath.mpc(pair[0]) ** 2 - mpmath.mpc(pair[1]) ** 2))
-                    assert specfun._dist_squares(*pair) == want
+            for pair in ((k1, k1 + gap * abs(k1)), (k1, k1),
+                         (OffsetK(k1, k1 * 2.0 ** -120), k1),
+                         (OffsetK(k1, gap * abs(k1)), OffsetK(k1 + gap, -gap * 1e-20))):
+                with mpmath.workprec(5000):
+                    want = float(abs(mpc_of(pair[0]) ** 2 - mpc_of(pair[1]) ** 2))
+                assert specfun._dist_squares(*pair) == want
 
 
 class TestInvariants:
@@ -644,7 +591,7 @@ class TestHankelBand:
         with mpmath.workdps(40):
             for z in (mpmath.mpc(3.1e4, 12.5), mpmath.mpc(1e10, 0.5), mpmath.mpc(-1e17, 25.0)):
                 want = reference_ratio(0.5, z)
-                got = specfun.bessel_ratio_mp(0.5, z)
+                got = ratio_mp(0.5, z)
                 assert complex(got) == complex(want)
                 assert abs(got - want) <= 1e-37 * abs(want)
 
@@ -706,13 +653,13 @@ class TestRouting:
         assert asked == [(0.0,), (0.0, -1.0), (0.0, -1.0)]
 
     def test_non_half_integer_order_refused_at_every_entry(self):
-        # the exact and mpmath lanes once returned another order's ratio
+        # the exact entries once returned another order's ratio
         z = complex(1e6, 1.0)
         for call in (lambda: bessel_j(BesselQuery(0.3, z)),
                      lambda: specfun._jv(0.3, z),
                      lambda: bessel_j_ratio(0.3, z),
                      lambda: specfun.bessel_ratio_exact(0.3, z, 1.0),
-                     lambda: specfun.bessel_ratio_mp(0.3, mpmath.mpc(z))):
+                     lambda: specfun.bessel_ratio_mp(0.3, *specfun._exact(z), 113)):
             with pytest.raises(InvalidArgumentError):
                 call()
 
@@ -723,8 +670,8 @@ class TestRouting:
             if lane == "exact":
                 specfun.bessel_ratio_exact(60.0, 1 + 0.1j, 1.0)
             else:
-                with mpmath.workdps(20):
-                    specfun.bessel_ratio_mp(60.0, mpmath.mpc(1, 0.1))
+                specfun.bessel_ratio_mp(60.0, *specfun._exact(1 + 0.1j),
+                                        mpmath.libmp.dps_to_prec(20))
 
     def test_series_ratio_meets_the_pole_rule(self):
         # J_1(1e-10) ~ 5e-11: within 1e-12 e^|Im z| of J_1's zero at z = 0,
@@ -789,10 +736,13 @@ class TestBigArguments:
 
 class TestConcurrency:
     def test_parallel_mixed_lane_calls_are_consistent(self):
-        # the extended-precision lane serialises on a shared lock; hammer
-        # it (secular residuals of desk-radius bumps, d = 1 and 2), their
-        # lock-free boundary wavenumbers and the double lane from several
-        # threads, requiring bitwise agreement
+        # the extended-precision lane shares no state, so nothing serialises
+        # it; hammer it (secular residuals of desk-radius bumps, d = 1 and 2,
+        # their boundary wavenumbers, the transfer solves of the seed-0 desk
+        # potential from its entry seeds, the Robin phi = 0.5 shift solve
+        # that takes 9 Newton steps, and the secular polish of a desk bump)
+        # and the double lane from 8 threads, requiring bitwise agreement
+        # with the serial results
         from concurrent.futures import ThreadPoolExecutor
         desk = []
         for d in (1, 2):
@@ -802,10 +752,22 @@ class TestConcurrency:
             problem = SecularProblem(d=d, c=k * k - tau * tau, a=a, branch_ref=tau)
             desk += [functools.partial(secular_residual, problem, k),
                      functools.partial(boundary_wavenumber, d, tau, a)]
+        whole = build(1, 1.5, 1.0, 5)
+        pot = step_potential(whole.entries, whole.domain, whole.phi)
+        solves = [functools.partial(_transfer_newton, pot, e._k_mu) for e in whole.entries]
+        robin = build(1, 1.5, 1.0, 3, domain="robin", phi=0.5)
+        first = robin.entries[0]
+        solves.append(functools.partial(
+            _transfer_newton, step_potential([first], "robin", 0.5), first.bump.k))
+        bump = whole.entries[-1].bump
+        solves.append(functools.partial(
+            polish_root_mp, SecularProblem(d=1, c=bump.c, a=bump.a, branch_ref=bump.tau),
+            bump.k))
+        assert all(isinstance(job()[0], OffsetK) for job in solves)
         jobs = [desk[0], functools.partial(bessel_j, BesselQuery(-0.5, complex(1.0, 0.2))),
                 desk[1], functools.partial(bessel_j, BesselQuery(1.5, complex(9e4, 2.0))),
                 functools.partial(bessel_j, BesselQuery(0.0, complex(25.0, 3.0))),
-                desk[2], desk[3]] * 8
+                desk[2], desk[3], *solves] * 8
         expected = [job() for job in jobs]
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda job: job(), jobs))
@@ -861,14 +823,21 @@ class TestErrors:
     @pytest.mark.parametrize("re,im", [(math.inf, 1.0), (1e6, math.nan), (0.0, 0.0)])
     def test_mp_lane_refuses_nonfinite_or_zero(self, re, im):
         # once a misleading PoleError, a hang and a bare ZeroDivisionError
-        code = ("import mpmath\n"
-                "from eigenbump import specfun\n"
+        # in the mpc entry; the extended lane reads its arguments from
+        # doubles, and its int entry takes an exact, so finite, z
+        code = ("from eigenbump import specfun\n"
                 "from eigenbump.errors import InvalidArgumentError\n"
-                "try:\n"
-                "    specfun.bessel_ratio_mp(0.0, mpmath.mpc(float(%r), float(%r)))\n"
-                "except InvalidArgumentError:\n"
-                "    print('refused')\n" % (str(re), str(im)))
-        assert run_bounded(code).strip() == "refused"
+                "z = complex(float(%r), float(%r))\n"
+                "for call in (lambda: specfun.bessel_ratio_exact(0.0, z, 1e6),\n"
+                "             lambda: specfun.bessel_ratio_mp(0.0, *specfun._exact(z), 113)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except InvalidArgumentError:\n"
+                "        print('refused')\n"
+                "    except (OverflowError, ValueError):\n"
+                "        print('unreadable')\n" % (str(re), str(im)))
+        want = "refused" if math.isfinite(re) and math.isfinite(im) else "unreadable"
+        assert run_bounded(code).split() == ["refused", want]
 
     def test_hankel_terms_stop_beyond_double_exponents(self):
         # 2^-(1066 + 10) underflows a double: the first term, 1/(8|z|) ~
@@ -890,7 +859,7 @@ class TestErrors:
         # 34 digits: the sum must fail instead of returning it
         with mpmath.workdps(34):
             with pytest.raises(AccuracyError) as err:
-                specfun.bessel_ratio_mp(0.0, mpmath.mpc(5.0, 1.0))
+                ratio_mp(0.0, mpmath.mpc(5.0, 1.0))
         assert err.value.achieved > 1e-34
 
     @pytest.mark.parametrize("z,order", [
