@@ -45,11 +45,23 @@ def _uc(pair) -> complex:
     return complex(_finite(pair[0]), _finite(pair[1]))
 
 
+def _number(value) -> float:
+    if type(value) not in (int, float):  # a JSON number: not a bool or string
+        raise InvalidArgumentError("not a number: %r" % (value,))
+    return float(value)
+
+
 def _finite(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not math.isfinite(x):
         raise InvalidArgumentError("non-finite number %r" % x)
     return x
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:  # a JSON boolean: not a number or string
+        raise InvalidArgumentError("not a boolean: %r" % (value,))
+    return value
 
 
 def _integer(value) -> int:
@@ -145,13 +157,13 @@ def doc_to_ledger(doc: dict) -> tuple[ConstructionLedger, dict]:
                 bump=bump_params, t=_finite(rec["t"]), mu_n=_uc(rec["mu_n"]),
                 residual_mu=_finite(rec["residual_mu"]), rho_n=_finite(rec["rho"]),
                 gamma_n=_finite(rec["gamma"]),
-                gamma_warning=bool(rec["gamma_warning"]),
+                gamma_warning=_flag(rec["gamma_warning"]),
                 lambda_n=_uc(rec["lambda"]) if rec["lambda"] is not None else None,
                 # NaN in partial ledgers: no lambda was located
-                residual_lambda=float(rec["residual"]),
-                dist_lambda_mu=float(rec["dist_lambda_mu"]),
-                lambda_within_rho=bool(rec["lambda_within_rho"]),
-                verified=bool(rec["verified"]),
+                residual_lambda=_number(rec["residual"]),
+                dist_lambda_mu=_number(rec["dist_lambda_mu"]),
+                lambda_within_rho=_flag(rec["lambda_within_rho"]),
+                verified=_flag(rec["verified"]),
                 _k_mu=specfun.upper_sqrt(_uc(rec["mu_n"])))
             ledger.entries.append(entry)
         if ledger.failed_at is None and any(e.lambda_n is None for e in ledger.entries):

@@ -19,10 +19,9 @@ re-located against the full potential and the capture contract
 Everything is deterministic: the enumeration is a fixed bijection, the
 bump index comes from one galloping search and the shift from a doubling
 search, the grid oracle starts from a fixed vector, and the resolvent
-sweep starts from a fixed ramp and warm-starts every later power
-iteration from a vector computed earlier in the same sweep (the previous
-circle point's on the coarse grid, the point's own coarse one on the
-fine grid).
+sweep starts from a fixed ramp and warm-starts every later Lanczos run
+from a vector computed earlier in the same sweep (the previous circle
+point's on the coarse grid, the point's own coarse one on the fine grid).
 """
 
 from __future__ import annotations
@@ -291,12 +290,12 @@ def estimate_gamma(ledger: ConstructionLedger, mu_n: complex,
     settle, the documented fallback min(gamma_prev, rho/10) is returned,
     flagged, with its reason logged.
 
-    The power iterations are warm-started, which changes their cost and
-    not their stop rule: on the coarse grid each circle point starts from
-    the singular vector of the point before it (point 0 from the ramp),
-    and on the fine grid each point starts from its own coarse vector,
-    prolonged.  Neighbouring shifts have close singular vectors, so each
-    iteration starts near its answer.
+    The Lanczos runs (``eigensolve.grid_sigma_min``) are warm-started,
+    which changes their cost and not their stop rule: on the coarse grid
+    each circle point starts from the singular vector of the point before
+    it (point 0 from the ramp), and on the fine grid each point starts
+    from its own coarse vector, prolonged.  Neighbouring shifts have close
+    singular vectors, so each run starts near its answer.
     """
     rho = _dist_to_halfline(mu_n) / 2.0
     if not rho > 0.0:

@@ -45,6 +45,9 @@ STEP_TOL = 1e-12
 NEWTON_CAP = 50
 GRID_POINT_CAP = 220_000
 SIGMA_TOL = 1e-12
+# Lanczos vectors kept by grid_sigma_min; with the one being formed, 8 node
+# vectors, 28 MB at GRID_POINT_CAP
+SIGMA_BASIS = 7
 SIGMA_ITER_CAP = 1000
 INVERSE_TOL = 1e-14
 INVERSE_STEP_CAP = 8
@@ -638,13 +641,31 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     """Smallest singular value of the FD discretisation of (H - z) on the
     truncated domain [x_lo, x_hi], with its right singular vector.
 
-    Power iteration on the inverse normal operator, reusing the one
-    tridiagonal LU of H - z (``_fd_lu``, on the grid's shared operator) for
-    both solves of every step; 1/sigma_min estimates the resolvent norm on
-    the grid.  The steps run in place on one vector allocated per call, so
-    a step allocates nothing.  Returns (sigma, vector), the vector
-    normalised on this grid's nodes; it belongs to the caller and shares no
-    memory with ``start``, which is left as it was.
+    Lanczos on the inverse normal operator B = (A^H A)^-1 = A^-1 A^-H,
+    A = H - z on the grid (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 13; Golub & Van Loan, *Matrix Computations*, 10.1): each
+    application of B is the two solves of the one tridiagonal LU of H - z
+    (``_fd_lu``, on the grid's shared operator), and 1/sigma_min estimates
+    the resolvent norm on the grid.  The three-term recurrence
+    orthogonalises each new vector against the two before it only.  The
+    basis, SIGMA_BASIS vectors and the one being formed, is allocated once
+    per call, and a full basis restarts.
+
+    sigma = 1/sqrt(theta) for the largest Ritz value theta of the k x k
+    tridiagonal.  theta never exceeds 1/sigma_min^2, so sigma is never below
+    sigma_min.  The iteration stops once the Ritz residual
+    ||B y - theta y|| = beta_k |s_k| satisfies
+    (beta_k |s_k|)^2 <= 2 SIGMA_TOL theta^2 (for k = 1, to first order, the
+    power step's ||Bv|| - v^H B v <= SIGMA_TOL ||Bv||), and raises
+    NoConvergenceError after SIGMA_ITER_CAP applications of B.
+
+    Returns (sigma, vector).  The vector is B y = theta y + s_k r_k,
+    normalised: the Ritz vector y advanced by one application of B, which
+    the recurrence's last residual r_k gives without a solve and which
+    damps the components along the large singular values that y keeps.  A
+    restart starts from the same vector.  It lives on this grid's nodes,
+    belongs to the caller and shares no memory with ``start``, which is
+    left as it was.
 
     The cold start vector is a ramp, which is neither even nor odd, so a
     mirror-symmetric operator cannot hide its smallest singular vector
@@ -655,10 +676,8 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
     other class, which may hold the smallest singular vector at this z,
     would stay out of reach.
 
-    The growth never decreases; the iteration stops once it changes by at
-    most SIGMA_TOL relative, and raises NoConvergenceError after
-    SIGMA_ITER_CAP steps.  Raises SingularShiftError when H - z is exactly
-    singular and InvalidArgumentError for a start of any other length.
+    Raises SingularShiftError when H - z is exactly singular and
+    InvalidArgumentError for a start of any other length.
     """
     import numpy as np
     import scipy.linalg.lapack
@@ -670,20 +689,43 @@ def grid_sigma_min(potential: StepPotential1D, z: complex, x_lo: float,
             raise InvalidArgumentError("start vector must be finite and nonzero")
     factors = _fd_lu(potential, x_lo, x_hi, n, z)
     ramp = _unit_ramp(len(factors[1]))
+    basis = np.empty((SIGMA_BASIS + 1, len(ramp)), dtype=complex)
     if start is None:
-        v = ramp.copy()
+        basis[0] = ramp
     else:
-        v = start / scale + 1e-2 * ramp
-        v /= np.linalg.norm(v)
-    growth = 0.0
+        basis[0] = start / scale + 1e-2 * ramp
+        basis[0] *= 1.0 / np.linalg.norm(basis[0])
+    alpha, beta = [], []
     for _ in range(SIGMA_ITER_CAP):
-        v, _ = scipy.linalg.lapack.zgttrs(*factors, v, trans="C", overwrite_b=1)
-        v, _ = scipy.linalg.lapack.zgttrs(*factors, v, overwrite_b=1)
-        prev, growth = growth, float(np.linalg.norm(v))
-        # numpy divides a complex array by a real scalar as this product,
-        # and the product alone is several times faster
-        v *= 1.0 / growth
-        if growth - prev <= SIGMA_TOL * growth:
-            return 1.0 / math.sqrt(growth), v
-    raise NoConvergenceError("sigma_min power iteration: growth still moving "
-                             "after %d steps" % SIGMA_ITER_CAP)
+        k = len(alpha)
+        q, w = basis[k], basis[k + 1]
+        w[:] = q
+        scipy.linalg.lapack.zgttrs(*factors, w, trans="C", overwrite_b=1)
+        scipy.linalg.lapack.zgttrs(*factors, w, overwrite_b=1)
+        if k:
+            w -= beta[-1] * basis[k - 1]
+        alpha.append(np.vdot(q, w).real)
+        w -= alpha[-1] * q
+        beta.append(math.sqrt(np.vdot(w, w).real))
+        # dstev reads k off-diagonals of the (k + 1)-square tridiagonal;
+        # its wrapper wants at least one
+        thetas, ritz, info = scipy.linalg.lapack.dstev(alpha, beta[:max(k, 1)])
+        if info != 0:
+            raise NoConvergenceError("sigma_min Lanczos: dstev failed (info %d)"
+                                     % info)
+        theta, s = float(thetas[-1]), ritz[:, -1]
+        done = (beta[-1] * s[-1]) ** 2 <= 2.0 * SIGMA_TOL * theta ** 2
+        if done or k + 1 == SIGMA_BASIS:
+            y = s @ basis[:k + 1]
+            y += (s[-1] / theta) * w  # B y / theta
+            y *= 1.0 / np.linalg.norm(y)
+            if done:
+                return 1.0 / math.sqrt(theta), y
+            basis[0] = y
+            alpha, beta = [], []
+        else:
+            # numpy divides a complex array by a real scalar as this
+            # product, and the product alone is several times faster
+            w *= 1.0 / beta[-1]
+    raise NoConvergenceError("sigma_min Lanczos: Ritz residual still above "
+                             "tolerance after %d steps" % SIGMA_ITER_CAP)

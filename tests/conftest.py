@@ -33,6 +33,22 @@ def moderate_bumps():
     return out
 
 
+@pytest.fixture
+def zgttrs_calls(monkeypatch):
+    """A list that grows by one entry per tridiagonal solve (LAPACK zgttrs,
+    as the grid code calls it) for the rest of the test."""
+    import scipy.linalg.lapack
+
+    original = scipy.linalg.lapack.zgttrs
+    calls = []
+
+    def zgttrs(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrs", zgttrs)
+    return calls
+
+
 def reference_hankel_pq(order, z):
     """Hankel's P and Q summed in the arithmetic of z, as both lanes did
     before the integer kernel: double for a complex (53 bits), mpc at the

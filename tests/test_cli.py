@@ -498,6 +498,32 @@ def test_bad_ledger_file_is_validation_error(command, corrupt, ledger_file,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("corrupt", [
+    # numbers are JSON numbers and flags JSON booleans: float() read the
+    # first two as 8.0 and 1.0, bool() the third as True
+    _set("_string_budget", ("config", "budget", "8")),
+    _set("_bool_t", ("entries", 0, "t", True)),
+    _set("_string_gamma_warning", ("entries", 0, "gamma_warning", "false")),
+    _set("_bool_residual", ("entries", 0, "residual", False)),
+    _set("_string_dist_lambda_mu", ("entries", 0, "dist_lambda_mu", "NaN")),
+    _set("_string_k", ("entries", 0, "bump", "k", ["1", "0"])),
+    _set("_int_verified", ("entries", 0, "verified", 1)),
+    _set("_null_lambda_within_rho", ("entries", 0, "lambda_within_rho", None))])
+def test_wrong_json_type_is_schema_mismatch(command, corrupt, ledger_file,
+                                            tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt(json.loads(Path(ledger_file).read_text())))
+    argv = [command, "--ledger", str(bad)]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "rep")]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ledger schema mismatch: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("corrupt", [_nan_t, _inf_k])
 def test_non_finite_number_fails_grid_verify_cleanly(corrupt, ledger_file,
                                                      tmp_path, capsys):

@@ -276,6 +276,33 @@ class TestEstimateGamma:
         assert got.method == "resolvent"
         assert len(calls) == 2 and calls[1] == 2 * calls[0] + 1
 
+    def test_sigma_cap_falls_back(self, generous_ledger, monkeypatch, caplog):
+        # a sweep point that does not settle within SIGMA_ITER_CAP steps
+        # leaves the flagged rho/10 fallback, with the reason logged
+        first = replace(generous_ledger, entries=generous_ledger.entries[:1])
+        monkeypatch.setattr(eigensolve, "SIGMA_ITER_CAP", 1)
+        with caplog.at_level("INFO", logger="eigenbump.construct"):
+            got = estimate_gamma(first, first.entries[0].mu_n)
+        assert got.warning and got.method == "fallback"
+        assert got.gamma == got.rho / 10.0
+        assert ("gamma step: sigma_min Lanczos: Ritz residual still above "
+                "tolerance after 1 steps; using fallback" in caplog.messages)
+
+    @pytest.mark.parametrize("case,cap", [("grid-whole", 240), ("grid-robin", 260)])
+    def test_sweep_solve_count(self, case, cap, generous_ledger, zgttrs_calls):
+        # the bench's seed-0 one-step ledgers: every tridiagonal solve of
+        # estimate_gamma, the oracle's and the 32 sweep points'.  Lanczos
+        # makes 215 and 239; power iteration on the same sweep made 309
+        # and 485
+        if case == "grid-whole":
+            ledger = replace(generous_ledger, entries=generous_ledger.entries[:1])
+        else:
+            ledger = build(1, 3.0, 8.0, 1, domain="robin", phi=0.0)
+        built = len(zgttrs_calls)
+        got = estimate_gamma(ledger, ledger.entries[-1].mu_n)
+        assert got.method == "resolvent"
+        assert len(zgttrs_calls) - built <= cap
+
     def test_singular_sweep_shift_falls_back(self, generous_ledger,
                                              monkeypatch, caplog):
         # the oracle's two factorisations succeed; the first sweep shift's
